@@ -1,6 +1,11 @@
 """Command-line surface: train, embed, extract, analyze, selftest.
 
-Exit codes: 2 config/corpus errors, 3 capacity, 4 extraction, 5 selftest.
+Exit codes, each with one `error:` line on stderr (5 with a `selftest:` line):
+  2  an unreadable or invalid input file, a flag out of range, a model whose
+     channel count differs from the image's, an unwritable output
+  3  capacity: the image cannot confirm the framed message
+  4  extraction: a pixel the model cannot decode, or a truncated framed payload
+  5  selftest: a golden vector gives other bits
 """
 from __future__ import annotations
 
@@ -16,6 +21,16 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_EXTRACTION = 4
 EXIT_SELFTEST = 5
+
+# Checked in order, so subclasses come before ValueError. Every input check in
+# the package raises a ValueError subclass or an OSError.
+EXIT_CODES = {
+    coder.CapacityExceeded: EXIT_CAPACITY,
+    coder.UndecodablePixel: EXIT_EXTRACTION,
+    bitio.TruncatedStream: EXIT_EXTRACTION,
+    ValueError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
+}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -86,12 +101,8 @@ def _read_corpus(directory: str) -> list[pnm.ImageGrid]:
 
 
 def cmd_train(args) -> int:
-    try:
-        corpus = _read_corpus(args.corpus)
-        model = models.train_context_model(corpus, args.buckets, args.smooth)
-    except (models.EmptyCorpus, models.MixedChannelCorpus, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    corpus = _read_corpus(args.corpus)
+    model = models.train_context_model(corpus, args.buckets, args.smooth)
     models.save_model(model, args.out)
     contexts = model.channels * (model.buckets + 1) ** 2
     print(f"trained on {len(corpus)} images: {contexts} contexts -> {args.out}")
@@ -99,33 +110,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        model = _load_model(args)
-        with open(args.message, "rb") as f:
-            message = f.read()
-    except (OSError, models.BadMagic, models.UnsupportedVersion, models.CorruptTable) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    model = _load_model(args)
+    message = pnm.read_bytes(args.message)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
     channels = 3 if args.rgb else 1
-    try:
-        grid, report = coder.embed_image(
-            model,
-            args.width,
-            args.height,
-            channels,
-            message,
-            prc=args.prc,
-            framed=not args.raw,
-            pad_seed=seed,
-            collect=bool(args.report),
-        )
-    except coder.CapacityExceeded as e:
-        print(f"error: {e} (increase image size or use --raw)", file=sys.stderr)
-        return EXIT_CAPACITY
-    except models.StreamExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    grid, report = coder.embed_image(
+        model,
+        args.width,
+        args.height,
+        channels,
+        message,
+        prc=args.prc,
+        framed=not args.raw,
+        pad_seed=seed,
+        collect=bool(args.report),
+    )
     pnm.write_image(grid, args.out)
     if args.report:
         metrics.write_csv([report], [args.out], args.report)
@@ -137,41 +136,16 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    try:
-        model = _load_model(args)
-        image = pnm.read_image(args.image)
-    except (
-        OSError,
-        models.BadMagic,
-        models.UnsupportedVersion,
-        models.CorruptTable,
-        pnm.BadMagic,
-        pnm.BadHeader,
-        pnm.MaxvalUnsupported,
-        pnm.ShortData,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        payload = coder.extract_image(model, image, prc=args.prc, framed=not args.raw)
-    except (coder.UndecodablePixel, bitio.TruncatedStream) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_EXTRACTION
-    except models.StreamExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    with open(args.out, "wb") as f:
-        f.write(payload)
+    model = _load_model(args)
+    image = pnm.read_image(args.image)
+    payload = coder.extract_image(model, image, prc=args.prc, framed=not args.raw)
+    pnm.write_bytes(payload, args.out)
     print(f"recovered {len(payload)} bytes -> {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    try:
-        model = _load_model(args)
-    except (OSError, models.BadMagic, models.UnsupportedVersion, models.CorruptTable) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    model = _load_model(args)
     channels = 3 if args.rgb else 1
     reports = []
     names = []
@@ -261,7 +235,11 @@ def main(argv=None) -> int:
         "analyze": cmd_analyze,
         "selftest": cmd_selftest,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except tuple(EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
 
 
 def entrypoint() -> None:

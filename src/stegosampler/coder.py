@@ -33,6 +33,10 @@ class NoParityMass(ValueError):
     """No value of the required LSB parity has nonzero weight."""
 
 
+class ChannelMismatch(ValueError):
+    """The model was trained on another channel count than the image has."""
+
+
 @dataclass
 class CoderState:
     prc: int = DEFAULT_PRC
@@ -150,6 +154,16 @@ def extract_step(
     return prefix, s
 
 
+def _check_run(model, channels: int, prc: int) -> None:
+    """Embed and extract checks, run once before the first step."""
+    if not PRC_MIN <= prc <= PRC_MAX:
+        raise ValueError(f"prc {prc} outside [{PRC_MIN}, {PRC_MAX}]")
+    # models without a channel count (fixed, stream) serve any image
+    trained = getattr(model, "channels", channels)
+    if trained != channels:
+        raise ChannelMismatch(f"model has {trained} channel(s), image has {channels}")
+
+
 def embed_image(
     model,
     width: int,
@@ -161,8 +175,7 @@ def embed_image(
     pad_seed: int | None = None,
     collect: bool = True,
 ) -> tuple[ImageGrid, EmbedReport]:
-    if not PRC_MIN <= prc <= PRC_MAX:
-        raise ValueError(f"prc {prc} outside [{PRC_MIN}, {PRC_MAX}]")
+    _check_run(model, channels, prc)
     bits = frame_encode(message) if framed else BitString.from_bytes(message)
     msg = BitStream(bits, pad_seed)
     state = CoderState(prc)
@@ -181,6 +194,7 @@ def embed_image(
 
 
 def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
+    _check_run(model, image.channels, prc)
     state = CoderState(prc)
     out = BitString()
     for pos in sequence_positions(image.width, image.height, image.channels):

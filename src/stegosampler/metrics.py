@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import PixelDistribution
+from .models import PixelDistribution, shannon_bits
 from .pnm import ImageGrid
 
 CSV_HEADER = ["image", "steps", "bits", "er_pixel", "er_step", "h_p", "h_q", "kld", "jsd"]
@@ -22,16 +22,11 @@ class ShapeMismatch(ValueError):
     pass
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
-
-
 def entropy(obj) -> float:
     """Shannon entropy in bits of a distribution or a quantized partition."""
     if isinstance(obj, PixelDistribution):
         return obj.entropy_bits
-    return _entropy(partition_probs(obj)[0])
+    return shannon_bits(partition_probs(obj)[0])
 
 
 def partition_probs(partition) -> tuple[np.ndarray, np.ndarray]:
@@ -43,40 +38,33 @@ def partition_probs(partition) -> tuple[np.ndarray, np.ndarray]:
     return q, q > 0
 
 
-def kld_q_p(partition, dist: PixelDistribution) -> float:
-    q, nz = partition_probs(partition)
-    p = dist.probs
+def _kld(q: np.ndarray, nz: np.ndarray, p: np.ndarray) -> float:
     if np.any(p[nz] == 0):
         raise AbsoluteContinuityViolated("quantized mass on a zero-weight symbol")
     return float((q[nz] * np.log2(q[nz] / p[nz])).sum())
 
 
-def jsd_q_p(partition, dist: PixelDistribution) -> float:
-    q, _ = partition_probs(partition)
-    p = dist.probs
+def _jsd(q: np.ndarray, nz: np.ndarray, p: np.ndarray) -> float:
     m = 0.5 * (p + q)
-    qnz = q > 0
     pnz = p > 0
-    dqm = (q[qnz] * np.log2(q[qnz] / m[qnz])).sum()
+    dqm = (q[nz] * np.log2(q[nz] / m[nz])).sum()
     dpm = (p[pnz] * np.log2(p[pnz] / m[pnz])).sum()
     return float(0.5 * dqm + 0.5 * dpm)
+
+
+def kld_q_p(partition, dist: PixelDistribution) -> float:
+    return _kld(*partition_probs(partition), dist.probs)
+
+
+def jsd_q_p(partition, dist: PixelDistribution) -> float:
+    return _jsd(*partition_probs(partition), dist.probs)
 
 
 def step_stats(partition, dist: PixelDistribution) -> tuple[float, float, float, float]:
     """(H(p), H(q), D_KL(q||p), D_JS(q||p)) for one coding step, in bits."""
     q, nz = partition_probs(partition)
     p = dist.probs
-    h_p = dist.entropy_bits
-    h_q = _entropy(q)
-    if np.any(p[nz] == 0):
-        raise AbsoluteContinuityViolated("quantized mass on a zero-weight symbol")
-    kld = float((q[nz] * np.log2(q[nz] / p[nz])).sum())
-    m = 0.5 * (p + q)
-    pnz = p > 0
-    dpm = (p[pnz] * np.log2(p[pnz] / m[pnz])).sum()
-    dqm = (q[nz] * np.log2(q[nz] / m[nz])).sum()
-    jsd = float(0.5 * dqm + 0.5 * dpm)
-    return h_p, h_q, kld, jsd
+    return dist.entropy_bits, shannon_bits(q), _kld(q, nz, p), _jsd(q, nz, p)
 
 
 @dataclass

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pnm import ImageGrid, SequencePosition, sequence_positions
+from .pnm import ImageGrid, SequencePosition, read_bytes, write_bytes
 
 WEIGHT_TOTAL_LIMIT = 1 << 40  # headroom for interval multiplication at prc <= 62
 
@@ -76,32 +76,14 @@ class PixelDistribution:
     @property
     def entropy_bits(self) -> float:
         if self._h_bits is None:
-            p = self.probs[self.probs > 0]
-            self._h_bits = float(-(p * np.log2(p)).sum())
+            self._h_bits = shannon_bits(self.probs)
         return self._h_bits
 
 
-class UniformModel:
-    """Every value equally likely at every step."""
-
-    _dist = None
-
-    def distribution(self, prefix: ImageGrid, pos: SequencePosition) -> PixelDistribution:
-        if UniformModel._dist is None:
-            UniformModel._dist = PixelDistribution(np.ones(256, dtype=np.int64))
-        return UniformModel._dist
-
-
-class DegenerateModel:
-    """Point mass on a single value; zero-capacity edge case."""
-
-    def __init__(self, value: int):
-        w = np.zeros(256, dtype=np.int64)
-        w[value] = 1
-        self._dist = PixelDistribution(w)
-
-    def distribution(self, prefix, pos) -> PixelDistribution:
-        return self._dist
+def shannon_bits(p: np.ndarray) -> float:
+    """Shannon entropy in bits of a probability vector."""
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
 class FixedModel:
@@ -114,14 +96,33 @@ class FixedModel:
         return self._dist
 
 
+class UniformModel(FixedModel):
+    """Every value equally likely at every step."""
+
+    def __init__(self):
+        super().__init__(np.ones(256, dtype=np.int64))
+
+
+class DegenerateModel(FixedModel):
+    """Point mass on a single value; zero-capacity edge case."""
+
+    def __init__(self, value: int):
+        w = np.zeros(256, dtype=np.int64)
+        w[value] = 1
+        super().__init__(w)
+
+
 class StreamModel:
-    """Distributions precomputed by an external process, one per step."""
+    """Distributions precomputed by an external process, one per step.
+
+    One embed or extract asks for each step once, so distributions are built
+    on request and not kept.
+    """
 
     def __init__(self, weights_per_step: np.ndarray):
-        self.table = np.asarray(weights_per_step, dtype=np.int64)
+        self.table = np.asarray(weights_per_step)
         if self.table.ndim != 2 or self.table.shape[1] != 256:
             raise ValueError("stream table must be (steps, 256)")
-        self._cache: dict[int, PixelDistribution] = {}
 
     @property
     def steps(self) -> int:
@@ -130,11 +131,7 @@ class StreamModel:
     def distribution(self, prefix, pos) -> PixelDistribution:
         if pos.index >= self.steps:
             raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
-        d = self._cache.get(pos.index)
-        if d is None:
-            d = PixelDistribution(self.table[pos.index])
-            self._cache[pos.index] = d
-        return d
+        return PixelDistribution(self.table[pos.index])
 
 
 def _bucket(value: int, buckets: int) -> int:
@@ -212,24 +209,11 @@ def save_model(model: ContextModel, sink) -> bytes:
     header = MODEL_MAGIC + struct.pack(
         "<HBBI", 1, model.channels, model.buckets, model.smooth
     )
-    blob = header + model.counts.astype("<u8").tobytes()
-    if sink is not None:
-        if hasattr(sink, "write"):
-            sink.write(blob)
-        else:
-            with open(sink, "wb") as f:
-                f.write(blob)
-    return blob
+    return write_bytes(header + model.counts.astype("<u8").tobytes(), sink)
 
 
 def load_model(source) -> ContextModel:
-    if isinstance(source, (bytes, bytearray)):
-        buf = bytes(source)
-    elif hasattr(source, "read"):
-        buf = source.read()
-    else:
-        with open(source, "rb") as f:
-            buf = f.read()
+    buf = read_bytes(source)
     if buf[:4] != MODEL_MAGIC:
         raise BadMagic(f"expected {MODEL_MAGIC!r}, got {buf[:4]!r}")
     if len(buf) < 12:
@@ -246,25 +230,16 @@ def load_model(source) -> ContextModel:
 
 
 def save_stream(weights_per_step: np.ndarray, sink) -> bytes:
-    table = np.asarray(weights_per_step, dtype="<u4")
+    table = np.asarray(weights_per_step)
+    if ((table < 0) | (table >= 1 << 32)).any():
+        raise ValueError("stream weights must lie in [0, 2^32)")
+    table = table.astype("<u4")
     blob = STREAM_MAGIC + struct.pack("<HI", 1, table.shape[0]) + table.tobytes()
-    if sink is not None:
-        if hasattr(sink, "write"):
-            sink.write(blob)
-        else:
-            with open(sink, "wb") as f:
-                f.write(blob)
-    return blob
+    return write_bytes(blob, sink)
 
 
 def load_stream(source) -> StreamModel:
-    if isinstance(source, (bytes, bytearray)):
-        buf = bytes(source)
-    elif hasattr(source, "read"):
-        buf = source.read()
-    else:
-        with open(source, "rb") as f:
-            buf = f.read()
+    buf = read_bytes(source)
     if buf[:4] != STREAM_MAGIC:
         raise BadMagic(f"expected {STREAM_MAGIC!r}, got {buf[:4]!r}")
     if len(buf) < 10:
@@ -276,6 +251,9 @@ def load_stream(source) -> StreamModel:
     if len(body) != steps * 256 * 4:
         raise CorruptTable(f"stream body is {len(body)} bytes, expected {steps * 256 * 4}")
     table = np.frombuffer(body, dtype="<u4").reshape(steps, 256)
+    empty = ~table.any(axis=1)
+    if empty.any():
+        raise CorruptTable(f"stream step {int(empty.argmax())} has all-zero weights")
     return StreamModel(table)
 
 

@@ -1,7 +1,6 @@
 """Bit-exact PGM (P5) / PPM (P6) reading and writing, plus raster traversal."""
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -94,16 +93,33 @@ def _tokens(buf: bytes) -> Iterator[tuple[bytes, int]]:
             i = j
 
 
+def read_bytes(source) -> bytes:
+    """All bytes of `source`: bytes, a binary file object, or a path."""
+    if isinstance(source, (bytes, bytearray)):
+        return bytes(source)
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "rb") as f:
+        return f.read()
+
+
+def write_bytes(blob: bytes, sink) -> bytes:
+    """Write `blob` to a binary file object or a path (None: nowhere); returns it."""
+    if sink is not None:
+        try:
+            if hasattr(sink, "write"):
+                sink.write(blob)
+            else:
+                with open(sink, "wb") as f:
+                    f.write(blob)
+        except OSError as e:
+            raise SinkFailure(str(e)) from e
+    return blob
+
+
 def read_image(source) -> ImageGrid:
     """Parse a binary PGM/PPM from bytes, a path, or a binary file object."""
-    if isinstance(source, (bytes, bytearray)):
-        buf = bytes(source)
-    elif hasattr(source, "read"):
-        buf = source.read()
-    else:
-        with open(source, "rb") as f:
-            buf = f.read()
-
+    buf = read_bytes(source)
     toks = _tokens(buf)
     try:
         magic, _ = next(toks)
@@ -139,13 +155,4 @@ def write_image(grid: ImageGrid, sink=None) -> bytes:
     """Emit the canonical header + raw raster; returns the bytes either way."""
     magic = b"P5" if grid.channels == 1 else b"P6"
     out = magic + b"\n%d %d\n255\n" % (grid.width, grid.height) + bytes(grid.data)
-    if sink is not None:
-        try:
-            if hasattr(sink, "write"):
-                sink.write(out)
-            else:
-                with open(sink, "wb") as f:
-                    f.write(out)
-        except OSError as e:
-            raise SinkFailure(str(e)) from e
-    return out
+    return write_bytes(out, sink)

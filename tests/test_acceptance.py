@@ -43,10 +43,6 @@ def desk():
     return model, reports, time.perf_counter() - t0
 
 
-# reports from the randomized and exact-capacity runs, re-checked by criterion 4
-_TRACKED_REPORTS = []
-
-
 def _golden_dist():
     w = np.zeros(256, dtype=np.int64)
     w[0] = 14
@@ -88,60 +84,83 @@ def _case_models():
     }
 
 
-def test_criterion_2_lossless_roundtrip():
-    with criterion(2, "200 randomized framed roundtrips, byte-identical, <60 s"):
-        t0 = time.perf_counter()
-        rng = random.Random(20240)
-        pool = _case_models()
-        names = sorted(pool)
-        for case in range(200):
-            name = names[case % len(names)]
-            model, channel_opts = pool[name]
-            c = rng.choice(channel_opts)
-            w = rng.randint(8, 32)
-            h = rng.randint(8, 32)
-            prc = PRC_SET[case % len(PRC_SET)]
-            seed = rng.getrandbits(64)
-            # probe capacity with a random raw message, then keep a 2x margin
-            _, probe = embed_image(
-                model, w, h, c, b"", prc=prc, framed=False, pad_seed=seed, collect=False
-            )
-            nbytes = max(0, (probe.bits_confirmed - 32) // 16)
-            payload = rng.randbytes(min(nbytes, 4096))
-            while True:
-                try:
-                    grid, rep = embed_image(
-                        model, w, h, c, payload, prc=prc, pad_seed=seed, collect=False
-                    )
-                    break
-                except coder.CapacityExceeded:
-                    assert payload, f"case {case} ({name}): no capacity for empty payload"
-                    payload = payload[: len(payload) // 2]
-            assert extract_image(model, grid, prc=prc) == payload, f"case {case} ({name})"
-            _TRACKED_REPORTS.append(rep)
-        assert time.perf_counter() - t0 < 60
+@pytest.fixture(scope="module")
+def roundtrips():
+    """Criterion 2's 200 randomized framed roundtrips.
 
-
-def test_criterion_3_uniform_capacity():
-    with criterion(3, "uniform gray model: exactly 8.0000 bpp, pixels = message bytes"):
-        rng = random.Random(99)
-        for w, h in [(1, 1), (2, 2), (5, 3), (8, 8), (16, 16), (31, 7)]:
-            payload = rng.randbytes(w * h)
-            for prc in PRC_SET:
+    Returns ([(case label, payload, recovered, report)], elapsed seconds).
+    """
+    t0 = time.perf_counter()
+    rng = random.Random(20240)
+    pool = _case_models()
+    names = sorted(pool)
+    runs = []
+    for case in range(200):
+        name = names[case % len(names)]
+        model, channel_opts = pool[name]
+        c = rng.choice(channel_opts)
+        w = rng.randint(8, 32)
+        h = rng.randint(8, 32)
+        prc = PRC_SET[case % len(PRC_SET)]
+        seed = rng.getrandbits(64)
+        # probe capacity with a random raw message, then keep a 2x margin
+        _, probe = embed_image(
+            model, w, h, c, b"", prc=prc, framed=False, pad_seed=seed, collect=False
+        )
+        nbytes = max(0, (probe.bits_confirmed - 32) // 16)
+        payload = rng.randbytes(min(nbytes, 4096))
+        while True:
+            try:
                 grid, rep = embed_image(
-                    models.UniformModel(), w, h, 1, payload,
-                    prc=prc, framed=False, pad_seed=1, collect=False,
+                    model, w, h, c, payload, prc=prc, pad_seed=seed, collect=False
                 )
-                assert bytes(grid.data) == payload
-                assert rep.bits_confirmed == 8 * w * h
-                assert rep.er_per_pixel == 8.0
-                _TRACKED_REPORTS.append(rep)
+                break
+            except coder.CapacityExceeded:
+                assert payload, f"case {case} ({name}): no capacity for empty payload"
+                payload = payload[: len(payload) // 2]
+        recovered = extract_image(model, grid, prc=prc)
+        runs.append((f"case {case} ({name})", payload, recovered, rep))
+    return runs, time.perf_counter() - t0
 
 
-def test_criterion_4_code_length_bound():
+@pytest.fixture(scope="module")
+def uniform_runs():
+    """Criterion 3's raw uniform embeds: [(w, h, payload, grid, report)]."""
+    rng = random.Random(99)
+    runs = []
+    for w, h in [(1, 1), (2, 2), (5, 3), (8, 8), (16, 16), (31, 7)]:
+        payload = rng.randbytes(w * h)
+        for prc in PRC_SET:
+            grid, rep = embed_image(
+                models.UniformModel(), w, h, 1, payload,
+                prc=prc, framed=False, pad_seed=1, collect=False,
+            )
+            runs.append((w, h, payload, grid, rep))
+    return runs
+
+
+def test_criterion_2_lossless_roundtrip(roundtrips):
+    with criterion(2, "200 randomized framed roundtrips, byte-identical, <60 s"):
+        runs, elapsed = roundtrips
+        assert len(runs) == 200
+        for label, payload, recovered, _ in runs:
+            assert recovered == payload, label
+        assert elapsed < 60
+
+
+def test_criterion_3_uniform_capacity(uniform_runs):
+    with criterion(3, "uniform gray model: exactly 8.0000 bpp, pixels = message bytes"):
+        for w, h, payload, grid, rep in uniform_runs:
+            assert bytes(grid.data) == payload
+            assert rep.bits_confirmed == 8 * w * h
+            assert rep.er_per_pixel == 8.0
+
+
+def test_criterion_4_code_length_bound(roundtrips, uniform_runs):
     with criterion(4, "|confirmed - sum(-log2 q_chosen)| <= prc on every tracked run"):
-        assert _TRACKED_REPORTS, "criteria 2-3 must run first"
-        for rep in _TRACKED_REPORTS:
+        reports = [run[-1] for run in roundtrips[0]] + [run[-1] for run in uniform_runs]
+        assert len(reports) == 200 + 6 * len(PRC_SET)
+        for rep in reports:
             bound = abs(rep.bits_confirmed - rep.self_information_bits)
             assert bound <= rep.prc + 1e-6
 

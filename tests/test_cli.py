@@ -2,6 +2,7 @@ import csv
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from stegosampler import cli, coder, corpus, models, pnm
@@ -9,6 +10,13 @@ from stegosampler import cli, coder, corpus, models, pnm
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 @pytest.fixture
@@ -63,7 +71,7 @@ class TestEmbedExtract:
         ) == 0
         assert bytes(pnm.read_image(out).data) == bytes([1, 2, 3, 4])
 
-    def test_degenerate_capacity_exit_3(self, tmp_path):
+    def test_degenerate_capacity_exit_3(self, tmp_path, capsys):
         # a stream of point-mass steps cannot confirm the framed header
         table = [[0] * 256 for _ in range(4)]
         for row in table:
@@ -77,6 +85,7 @@ class TestEmbedExtract:
             "--width", "2", "--height", "2", "--seed", "1", "--out", str(tmp_path / "s.pgm"),
         )
         assert code == 3
+        assert_one_error_line(capsys)
 
     def test_full_pipeline_checksum(self, corpus_dir, tmp_path):
         model_path = tmp_path / "model.pscm"
@@ -106,7 +115,7 @@ class TestEmbedExtract:
         assert run("extract", "--uniform", "--image", str(img), "--raw", "--out", str(out)) == 0
         assert len(out.read_bytes()) == 9  # floor(72 confirmed bits / 8)
 
-    def test_wrong_model_exit_4(self, tmp_path):
+    def test_wrong_model_exit_4(self, tmp_path, capsys):
         # degenerate stream disagrees with the uniform-embedded pixels
         table = [[0] * 256 for _ in range(4)]
         for row in table:
@@ -123,6 +132,7 @@ class TestEmbedExtract:
             "--raw", "--out", str(tmp_path / "o.bin"),
         )
         assert code == 4
+        assert_one_error_line(capsys)
 
     def test_determinism(self, tmp_path):
         msg = tmp_path / "m.bin"
@@ -132,6 +142,52 @@ class TestEmbedExtract:
             run("embed", "--uniform", "--message", str(msg), "--width", "4", "--height", "4",
                 "--seed", "77", "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """Paths for the bad-input probes: each names a file or a directory."""
+    table = np.ones((4, 256), dtype=np.int64)
+    table[2] = 0
+    models.save_stream(table, tmp_path / "zero-row.psds")
+    gray = corpus.stroke_corpus(4, 4, 4, 1, seed=1)
+    models.save_model(models.train_context_model(gray, buckets=4), tmp_path / "gray.pscm")
+    pnm.write_image(pnm.ImageGrid(2, 2, 3, bytearray(12)), tmp_path / "rgb.ppm")
+    pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "gray.pgm")
+    (tmp_path / "msg.bin").write_bytes(b"\x01")
+    (tmp_path / "maxval17").mkdir()
+    (tmp_path / "maxval17" / "a.pgm").write_bytes(b"P5\n2 2\n17\n\x00\x01\x02\x03")
+    return {"d": str(tmp_path), "missing": str(tmp_path / "missing")}
+
+
+EMBED = "embed --message {d}/msg.bin --width 2 --height 2 --seed 1"
+ANALYZE = "analyze --count 1 --width 2 --height 2 --out-csv {d}/a.csv " \
+    "--out-entropy-map {d}/e.pgm --out-bits-map {d}/b.pgm"
+
+# every bad input ends in exit 2 with one error line, never a traceback
+BAD_INPUT_PROBES = {
+    "embed-zero-row-stream": f"{EMBED} --dist-stream {{d}}/zero-row.psds --out {{d}}/s.pgm",
+    "analyze-zero-row-stream": f"{ANALYZE} --dist-stream {{d}}/zero-row.psds",
+    "extract-gray-model-rgb-image": "extract --model {d}/gray.pscm --image {d}/rgb.ppm --out {d}/o.bin",
+    "embed-gray-model-rgb": f"{EMBED} --model {{d}}/gray.pscm --rgb --out {{d}}/s.ppm",
+    "embed-width-0": "embed --uniform --message {d}/msg.bin --width 0 --height 2 --out {d}/s.pgm",
+    "embed-prc-70": f"{EMBED} --uniform --prc 70 --out {{d}}/s.pgm",
+    "extract-prc-70": "extract --uniform --image {d}/gray.pgm --prc 70 --out {d}/o.bin",
+    "extract-prc-4": "extract --uniform --image {d}/gray.pgm --prc 4 --out {d}/o.bin",
+    "train-maxval-17": "train --corpus {d}/maxval17 --out {d}/m.pscm",
+    "analyze-count-0": ANALYZE.replace("--count 1", "--count 0") + " --uniform",
+    "embed-out-missing-dir": f"{EMBED} --uniform --raw --out {{missing}}/s.pgm",
+    "extract-out-missing-dir": "extract --uniform --image {d}/gray.pgm --raw --out {missing}/o.bin",
+    "embed-report-missing-dir": f"{EMBED} --uniform --raw --out {{d}}/s.pgm "
+    "--report {missing}/r.csv",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
+def test_bad_input_exit_2(probe, bad_inputs, capsys):
+    argv = BAD_INPUT_PROBES[probe].format(**bad_inputs).split()
+    assert cli.main(argv) == 2
+    assert_one_error_line(capsys)
 
 
 class TestAnalyze:

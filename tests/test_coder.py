@@ -165,6 +165,10 @@ class TestImages:
             embed_image(UniformModel(), 2, 2, 1, b"", prc=7, framed=False)
         with pytest.raises(ValueError):
             embed_image(UniformModel(), 2, 2, 1, b"", prc=63, framed=False)
+        grid = ImageGrid.blank(2, 2, 1)
+        for prc in (4, 7, 63, 70):
+            with pytest.raises(ValueError, match="prc"):
+                extract_image(UniformModel(), grid, prc=prc, framed=False)
 
 
 class TestLsbBaseline:

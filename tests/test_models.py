@@ -141,6 +141,19 @@ class TestStream:
         save_stream(np.ones((1, 256)), path)
         assert load_stream(path).steps == 1
 
+    @pytest.mark.parametrize("value", [-1, 1 << 32, 1 << 33])
+    def test_save_rejects_weights_outside_u32(self, value):
+        table = np.ones((2, 256), dtype=np.int64)
+        table[1, 5] = value
+        with pytest.raises(ValueError):
+            save_stream(table, None)
+
+    def test_load_rejects_all_zero_step(self):
+        table = np.ones((3, 256), dtype=np.int64)
+        table[1] = 0
+        with pytest.raises(CorruptTable, match="step 1"):
+            load_stream(save_stream(table, None))
+
 
 class TestWeightsFromFloats:
     def test_uniform(self):
