@@ -62,9 +62,6 @@ class BitString:
             return b""
         return (self.value >> (self.length - 8 * nbytes)).to_bytes(nbytes, "big")
 
-    def to01(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
-
 
 @dataclass
 class BitStream:

@@ -97,7 +97,15 @@ def _read_corpus(directory: str) -> list[pnm.ImageGrid]:
     names = sorted(
         n for n in os.listdir(directory) if n.lower().endswith((".pgm", ".ppm"))
     )
-    return [pnm.read_image(os.path.join(directory, n)) for n in names]
+    images = []
+    for name in names:
+        path = os.path.join(directory, name)
+        try:
+            images.append(pnm.read_image(path))
+        except ValueError as e:
+            e.args = (f"{path}: {e}",)
+            raise
+    return images
 
 
 def cmd_train(args) -> int:
@@ -125,9 +133,9 @@ def cmd_embed(args) -> int:
         pad_seed=seed,
         collect=bool(args.report),
     )
-    pnm.write_image(grid, args.out)
-    if args.report:
+    if args.report:  # first, so that a failed report write leaves no image behind
         metrics.write_csv([report], [args.out], args.report)
+    pnm.write_image(grid, args.out)
     print(
         f"pad seed {seed}; confirmed {report.bits_confirmed} bits; "
         f"ER {report.er_per_pixel:.4f} bpp ({report.er_per_step:.4f} bits/step)"

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
-from .metrics import EmbedReport, step_stats
+from .metrics import EmbedReport, StepRecord, step_stats
 from .models import PixelDistribution
 from .pnm import ImageGrid, sequence_positions
 
@@ -37,6 +37,10 @@ class ChannelMismatch(ValueError):
     """The model was trained on another channel count than the image has."""
 
 
+class BrokenInvariant(RuntimeError):
+    """The coder's interval left its legal range: a bug, not a bad input."""
+
+
 @dataclass
 class CoderState:
     prc: int = DEFAULT_PRC
@@ -56,8 +60,8 @@ class CoderState:
         return self.high - self.low + 1
 
     def check(self) -> None:
-        assert 0 <= self.low <= self.high < (1 << self.prc)
-        assert self.width >= 2
+        if not (0 <= self.low < self.high < (1 << self.prc)):
+            raise BrokenInvariant(f"interval [{self.low}, {self.high}] at prc {self.prc}")
 
 
 @dataclass
@@ -71,18 +75,6 @@ class QuantizedPartition:
     order: np.ndarray  # permutation of 0..255, weight-descending, ties by value
     cut: list[int]
     width: int
-
-
-@dataclass
-class StepRecord:
-    pixel_value: int
-    bits_confirmed: int
-    q_width: int
-    width_before: int
-    h_p: float | None = None
-    h_q: float | None = None
-    kld: float | None = None
-    jsd: float | None = None
 
 
 def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
@@ -116,7 +108,6 @@ def _apply(state: CoderState, partition: QuantizedPartition, k: int) -> tuple[in
     state.high = ((high1 << s) & mask) | ((1 << s) - 1)
     state.steps += 1
     state.confirmed += s
-    state.check()
     return s, prefix
 
 
@@ -129,17 +120,12 @@ def embed_step(
     """Decode one pixel out of the message window; confirm the shared prefix."""
     partition = quantize(dist, state)
     t = msg.window(msg.confirmed_ptr, state.prc)
-    assert state.low <= t <= state.high
     k = bisect_right(partition.cut, t - state.low) - 1
-    width_before = partition.width
-    q_width = partition.cut[k + 1] - partition.cut[k]
-    rec = StepRecord(int(partition.order[k]), 0, q_width, width_before)
-    if collect:
-        rec.h_p, rec.h_q, rec.kld, rec.jsd = step_stats(partition, dist)
+    stats = step_stats(partition, dist) if collect else ()
     s, _ = _apply(state, partition, k)
-    rec.bits_confirmed = s
     msg.advance(s)
-    return rec
+    q_width = partition.cut[k + 1] - partition.cut[k]
+    return StepRecord(int(partition.order[k]), s, q_width, partition.width, *stats)
 
 
 def extract_step(
@@ -180,17 +166,18 @@ def embed_image(
     msg = BitStream(bits, pad_seed)
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
-    report = EmbedReport(width, height, channels, prc)
+    records = []
     for pos in sequence_positions(width, height, channels):
         dist = model.distribution(grid, pos)
         rec = embed_step(state, dist, msg, collect=collect)
         grid.data[pos.index] = rec.pixel_value
-        report.steps.append(rec)
+        records.append(rec)
+    state.check()
     if framed and state.confirmed < bits.length:
         raise CapacityExceeded(
             f"image confirmed {state.confirmed} of {bits.length} framed bits"
         )
-    return grid, report
+    return grid, EmbedReport(width, height, channels, prc, records)
 
 
 def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
@@ -201,6 +188,7 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
         dist = model.distribution(image, pos)
         prefix, s = extract_step(state, dist, image.data[pos.index])
         out.append(prefix, s)
+    state.check()
     return out
 
 

@@ -3,15 +3,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
 from .models import PixelDistribution, shannon_bits
 from .pnm import ImageGrid
-
-CSV_HEADER = ["image", "steps", "bits", "er_pixel", "er_step", "h_p", "h_q", "kld", "jsd"]
 
 
 class AbsoluteContinuityViolated(ValueError):
@@ -67,19 +65,47 @@ def step_stats(partition, dist: PixelDistribution) -> tuple[float, float, float,
     return dist.entropy_bits, shannon_bits(q), _kld(q, nz, p), _jsd(q, nz, p)
 
 
+class StepRecord(NamedTuple):
+    """One coding step; the stats (the fields with a default) are NaN unless collected."""
+
+    pixel_value: int
+    bits_confirmed: int
+    q_width: int
+    width_before: int
+    h_p: float = math.nan
+    h_q: float = math.nan
+    kld: float = math.nan
+    jsd: float = math.nan
+
+
+STEP_DTYPE = np.dtype(list(get_type_hints(StepRecord).items()))
+STATS = tuple(StepRecord._field_defaults)
+CSV_HEADER = ["image", "steps", "bits", "er_pixel", "er_step", *STATS]
+
+
 @dataclass
 class EmbedReport:
-    """Per-step records plus aggregate rates for one embedded image."""
+    """One embedded image: a record array with one StepRecord row per coding step."""
 
     width: int
     height: int
     channels: int
     prc: int
-    steps: list = field(default_factory=list)  # list[StepRecord]
+    steps: np.recarray  # built from any sequence of StepRecords
+
+    def __post_init__(self):
+        self.steps = np.asarray(self.steps, dtype=STEP_DTYPE).view(np.recarray)
+
+    def column(self, field: str) -> np.ndarray:
+        """One StepRecord field over all steps; ValueError if it was not collected."""
+        col = self.steps[field]
+        if np.isnan(col).any():
+            raise ValueError(f"per-step {field} was not collected during embedding")
+        return col
 
     @property
     def bits_confirmed(self) -> int:
-        return sum(r.bits_confirmed for r in self.steps)
+        return int(self.steps.bits_confirmed.sum())
 
     @property
     def er_per_pixel(self) -> float:
@@ -92,61 +118,31 @@ class EmbedReport:
     @property
     def self_information_bits(self) -> float:
         """Sum of -log2(q_width/width_before) over all steps."""
-        return sum(-math.log2(r.q_width / r.width_before) for r in self.steps)
+        return float(-np.log2(self.steps.q_width / self.steps.width_before).sum())
 
-    def _mean(self, attr: str) -> float:
-        vals = [getattr(r, attr) for r in self.steps]
-        if any(v is None for v in vals):
-            raise ValueError(f"per-step {attr} was not collected during embedding")
-        return float(np.mean(vals))
+    def _mean(self, field: str) -> float:
+        return float(np.mean(self.column(field)))
 
-    @property
-    def mean_h_p(self) -> float:
-        return self._mean("h_p")
-
-    @property
-    def mean_h_q(self) -> float:
-        return self._mean("h_q")
-
-    @property
-    def mean_kld(self) -> float:
-        return self._mean("kld")
-
-    @property
-    def mean_jsd(self) -> float:
-        return self._mean("jsd")
+    mean_h_p = property(lambda self: self._mean("h_p"))
+    mean_h_q = property(lambda self: self._mean("h_q"))
+    mean_kld = property(lambda self: self._mean("kld"))
+    mean_jsd = property(lambda self: self._mean("jsd"))
 
     def row(self, name: str) -> list:
-        return [
-            name,
-            len(self.steps),
-            self.bits_confirmed,
-            self.er_per_pixel,
-            self.er_per_step,
-            self.mean_h_p,
-            self.mean_h_q,
-            self.mean_kld,
-            self.mean_jsd,
-        ]
+        """The CSV_HEADER columns for this image."""
+        rates = [self.bits_confirmed, self.er_per_pixel, self.er_per_step]
+        return [name, len(self.steps), *rates, *(self._mean(f) for f in STATS)]
 
 
 def aggregate(reports: Sequence[EmbedReport]) -> dict[str, tuple[float, float]]:
     """Mean and sample std (ddof=1; 0 for a single report) of the rate columns."""
     if not reports:
         raise ValueError("need at least one report")
-    out = {}
-    for key, attr in [
-        ("er_pixel", "er_per_pixel"),
-        ("er_step", "er_per_step"),
-        ("h_p", "mean_h_p"),
-        ("h_q", "mean_h_q"),
-        ("kld", "mean_kld"),
-        ("jsd", "mean_jsd"),
-    ]:
-        vals = np.array([getattr(r, attr) for r in reports])
-        std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        out[key] = (float(vals.mean()), std)
-    return out
+    table = np.array([rep.row("")[3:] for rep in reports])
+    return {
+        key: (float(vals.mean()), float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)
+        for key, vals in zip(CSV_HEADER[3:], table.T)
+    }
 
 
 def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> None:
@@ -180,17 +176,12 @@ def _scale_to_bytes(field_: np.ndarray) -> bytearray:
 
 
 def position_means(reports: Sequence[EmbedReport], attr: str) -> np.ndarray:
-    """Per-position mean of a StepRecord attribute across same-shape reports."""
+    """Per-position mean of a StepRecord field across same-shape reports."""
     shape = (reports[0].width, reports[0].height, reports[0].channels)
-    acc = np.zeros(reports[0].width * reports[0].height * reports[0].channels)
     for rep in reports:
         if (rep.width, rep.height, rep.channels) != shape:
             raise ShapeMismatch(f"report shape {(rep.width, rep.height, rep.channels)} != {shape}")
-        vals = [getattr(r, attr) for r in rep.steps]
-        if any(v is None for v in vals):
-            raise ValueError(f"per-step {attr} was not collected during embedding")
-        acc += np.array(vals, dtype=np.float64)
-    return acc / len(reports)
+    return np.mean([rep.column(attr) for rep in reports], axis=0)
 
 
 def heatmaps(reports: Sequence[EmbedReport]) -> tuple[ImageGrid, ImageGrid]:

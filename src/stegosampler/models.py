@@ -147,6 +147,11 @@ class ContextModel:
     """
 
     def __init__(self, channels: int, buckets: int = 16, smooth: int = 1, counts=None):
+        # the PSCM header stores buckets as u8 and smooth as u32
+        if not 0 <= buckets <= 255:
+            raise ValueError(f"buckets {buckets} outside 0..255")
+        if not 0 <= smooth < 1 << 32:
+            raise ValueError(f"smooth {smooth} outside 0..2^32-1")
         self.channels = channels
         self.buckets = buckets
         self.smooth = smooth

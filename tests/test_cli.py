@@ -12,11 +12,12 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def assert_one_error_line(capsys):
+def assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
 
 
 @pytest.fixture
@@ -157,6 +158,8 @@ def bad_inputs(tmp_path):
     (tmp_path / "msg.bin").write_bytes(b"\x01")
     (tmp_path / "maxval17").mkdir()
     (tmp_path / "maxval17" / "a.pgm").write_bytes(b"P5\n2 2\n17\n\x00\x01\x02\x03")
+    (tmp_path / "corpus").mkdir()
+    pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "corpus" / "a.pgm")
     return {"d": str(tmp_path), "missing": str(tmp_path / "missing")}
 
 
@@ -175,6 +178,10 @@ BAD_INPUT_PROBES = {
     "extract-prc-70": "extract --uniform --image {d}/gray.pgm --prc 70 --out {d}/o.bin",
     "extract-prc-4": "extract --uniform --image {d}/gray.pgm --prc 4 --out {d}/o.bin",
     "train-maxval-17": "train --corpus {d}/maxval17 --out {d}/m.pscm",
+    "train-buckets-256": "train --corpus {d}/corpus --out {d}/m.pscm --buckets 256",
+    "train-buckets-minus-1": "train --corpus {d}/corpus --out {d}/m.pscm --buckets -1",
+    "train-smooth-minus-1": "train --corpus {d}/corpus --out {d}/m.pscm --smooth -1",
+    "train-smooth-2^32": "train --corpus {d}/corpus --out {d}/m.pscm --smooth 4294967296",
     "analyze-count-0": ANALYZE.replace("--count 1", "--count 0") + " --uniform",
     "embed-out-missing-dir": f"{EMBED} --uniform --raw --out {{missing}}/s.pgm",
     "extract-out-missing-dir": "extract --uniform --image {d}/gray.pgm --raw --out {missing}/o.bin",
@@ -183,11 +190,20 @@ BAD_INPUT_PROBES = {
 }
 
 
+# a path the probe's error line must name, and a file the failed command must not leave
+PROBE_NAMES = {"train-maxval-17": "{d}/maxval17/a.pgm"}
+PROBE_LEAVES_NO = {"embed-report-missing-dir": "{d}/s.pgm"}
+
+
 @pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
 def test_bad_input_exit_2(probe, bad_inputs, capsys):
     argv = BAD_INPUT_PROBES[probe].format(**bad_inputs).split()
     assert cli.main(argv) == 2
-    assert_one_error_line(capsys)
+    line = assert_one_error_line(capsys)
+    if probe in PROBE_NAMES:
+        assert PROBE_NAMES[probe].format(**bad_inputs) in line
+    if probe in PROBE_LEAVES_NO:
+        assert not os.path.exists(PROBE_LEAVES_NO[probe].format(**bad_inputs))
 
 
 class TestAnalyze:

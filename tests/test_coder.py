@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
+    BrokenInvariant,
     CapacityExceeded,
     CoderState,
     NoParityMass,
@@ -268,6 +269,50 @@ def test_quantize_matches_exact_oracle(weights, register):
     assert part.order.tolist() == order
     assert part.cut == cut
     assert all(type(c) is int for c in part.cut)
+
+
+@st.composite
+def distributions(draw):
+    """A PixelDistribution with 1..256 nonzero weights below 2^32 (totals below 2^40)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.integers(1, 32))
+    nonzero = draw(st.integers(1, 256))
+    w = np.zeros(256, dtype=np.int64)
+    w[rng.choice(256, nonzero, replace=False)] = rng.integers(1, 1 << bits, nonzero)
+    return PixelDistribution(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(distributions(), min_size=1, max_size=24),
+    st.integers(8, 62),
+    st.binary(max_size=16),
+    st.integers(0, 2**64 - 1),
+)
+def test_steps_keep_interval_invariants(dists, prc, payload, seed):
+    """embed_step and extract_step mirror each other and keep [low, high] legal."""
+    msg = BitStream(BitString.from_bytes(payload), seed)
+    sender, receiver = CoderState(prc), CoderState(prc)
+    for dist in dists:
+        ptr = msg.confirmed_ptr
+        assert sender.low <= msg.window(ptr, prc) <= sender.high
+        rec = embed_step(sender, dist, msg)
+        sender.check()
+        prefix, s = extract_step(receiver, dist, rec.pixel_value)
+        receiver.check()
+        assert s == rec.bits_confirmed
+        assert prefix == msg.window(ptr, s)
+        assert (receiver.low, receiver.high) == (sender.low, sender.high)
+
+
+def test_check_raises_without_assert():
+    # a real exception, so it runs under python -O; not a ValueError, which the
+    # CLI would report as bad input
+    assert not issubclass(BrokenInvariant, ValueError)
+    with pytest.raises(BrokenInvariant, match="prc 8"):
+        CoderState(8, low=5, high=5).check()
+    with pytest.raises(BrokenInvariant):
+        CoderState(8, low=0, high=256).check()
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stegosampler.coder import CoderState, QuantizedPartition, StepRecord, quantize
+from stegosampler.bitio import BitStream, BitString
+from stegosampler.coder import (
+    CoderState,
+    QuantizedPartition,
+    StepRecord,
+    embed_image,
+    embed_step,
+    quantize,
+)
 from stegosampler.metrics import (
     AbsoluteContinuityViolated,
     EmbedReport,
@@ -17,7 +25,8 @@ from stegosampler.metrics import (
     kld_q_p,
     write_csv,
 )
-from stegosampler.models import PixelDistribution
+from stegosampler.models import FixedModel, PixelDistribution
+from stegosampler.pnm import ImageGrid, sequence_positions
 
 
 def dist(**mass):
@@ -76,12 +85,8 @@ class TestDivergences:
 
 
 def fake_report(bits_per_step, w=2, h=2, c=1, h_p=1.0):
-    rep = EmbedReport(w, h, c, 26)
-    for s in bits_per_step:
-        rep.steps.append(
-            StepRecord(0, s, 1, 2, h_p=h_p, h_q=h_p, kld=0.0, jsd=0.0)
-        )
-    return rep
+    records = [StepRecord(0, s, 1, 2, h_p=h_p, h_q=h_p, kld=0.0, jsd=0.0) for s in bits_per_step]
+    return EmbedReport(w, h, c, 26, records)
 
 
 class TestAggregate:
@@ -95,6 +100,14 @@ class TestAggregate:
         mean, std = aggregate([a, b])["er_pixel"]
         assert mean == pytest.approx(2.0)
         assert std == pytest.approx(math.sqrt(2))
+
+    def test_columns_keep_their_names(self):
+        # 2x2 RGB, 12 steps of 2 bits: 6 bits per pixel, 2 per step
+        records = [StepRecord(0, 2, 1, 2, h_p=4.0, h_q=3.0, kld=0.5, jsd=0.25)] * 12
+        summary = aggregate([EmbedReport(2, 2, 3, 26, records)])
+        assert {key: mean for key, (mean, _) in summary.items()} == {
+            "er_pixel": 6.0, "er_step": 2.0, "h_p": 4.0, "h_q": 3.0, "kld": 0.5, "jsd": 0.25
+        }
 
     def test_csv_shape(self):
         reports = [fake_report([1, 1, 1, 1]) for _ in range(5)]
@@ -128,6 +141,53 @@ class TestHeatmaps:
         rep = fake_report([1] * 12, w=2, h=2, c=3)
         ent, bits = heatmaps([rep])
         assert ent.channels == 1 and len(ent.data) == 4
+
+
+MODEL = FixedModel(np.arange(1, 257) % 7 + 1)
+
+
+def embed(collect, prc=26):
+    return embed_image(MODEL, 4, 3, 1, b"\x5a\xc3", prc=prc, framed=False, pad_seed=9, collect=collect)
+
+
+class TestSteps:
+    @pytest.mark.parametrize("prc", [8, 26, 62])
+    def test_rows_are_the_records_embed_step_returns(self, prc):
+        _, rep = embed(collect=True, prc=prc)
+        state, msg = CoderState(prc), BitStream(BitString.from_bytes(b"\x5a\xc3"), 9)
+        grid = ImageGrid.blank(4, 3, 1)
+        records = []
+        for pos in sequence_positions(4, 3, 1):
+            rec = embed_step(state, MODEL.distribution(grid, pos), msg, collect=True)
+            grid.data[pos.index] = rec.pixel_value
+            records.append(rec)
+        assert rep.steps.dtype.names == StepRecord._fields
+        assert rep.steps.tolist() == records
+        assert rep.bits_confirmed == sum(r.bits_confirmed for r in records)
+        info = math.fsum(-math.log2(r.q_width / r.width_before) for r in records)
+        assert rep.self_information_bits == pytest.approx(info, rel=1e-9)
+
+    def test_uncollected_stats_are_nan(self):
+        _, rep = embed(collect=False)
+        assert len(rep.steps) == 12
+        assert np.isnan(rep.steps.kld).all() and np.isnan(rep.steps[3].h_p)
+        collected = embed(collect=True)[1].steps
+        for name in StepRecord._fields[:4]:
+            assert (rep.steps[name] == collected[name]).all()
+
+    @pytest.mark.parametrize(
+        "read, field",
+        [
+            (lambda rep: rep.mean_kld, "kld"),
+            (lambda rep: write_csv([rep], ["x"], io.StringIO()), "h_p"),
+            (lambda rep: heatmaps([rep]), "h_p"),
+        ],
+        ids=["mean_kld", "write_csv", "heatmaps"],
+    )
+    def test_uncollected_stats_raise(self, read, field):
+        _, rep = embed(collect=False)
+        with pytest.raises(ValueError, match=f"per-step {field} was not collected"):
+            read(rep)
 
 
 @st.composite
