@@ -14,7 +14,7 @@ from .coder import (
     lsb_extract,
     quantize,
 )
-from .metrics import EmbedReport, aggregate, entropy, heatmaps, jsd_q_p, kld_q_p
+from .metrics import EmbedReport, aggregate, entropy, heatmaps, step_stats
 from .models import (
     ContextModel,
     DegenerateModel,

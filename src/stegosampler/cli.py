@@ -117,25 +117,34 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_all(writers: dict) -> None:
+    """Write each path with its writer, all or none: to temporary names beside
+    the paths, renamed only once every write succeeded."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in writers}
+    try:
+        for path, write in writers.items():
+            write(temps[path])
+    except BaseException:
+        for tmp in filter(os.path.exists, temps.values()):
+            os.remove(tmp)
+        raise
+    for path, tmp in temps.items():
+        os.replace(tmp, path)
+
+
 def cmd_embed(args) -> int:
     model = _load_model(args)
     message = pnm.read_bytes(args.message)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
     channels = 3 if args.rgb else 1
     grid, report = coder.embed_image(
-        model,
-        args.width,
-        args.height,
-        channels,
-        message,
-        prc=args.prc,
-        framed=not args.raw,
-        pad_seed=seed,
-        collect=bool(args.report),
+        model, args.width, args.height, channels, message, prc=args.prc,
+        framed=not args.raw, pad_seed=seed, collect=bool(args.report),
     )
-    if args.report:  # first, so that a failed report write leaves no image behind
-        metrics.write_csv([report], [args.out], args.report)
-    pnm.write_image(grid, args.out)
+    writers = {args.out: lambda path: pnm.write_image(grid, path)}
+    if args.report:
+        writers[args.report] = lambda path: metrics.write_csv([report], [args.out], path)
+    _write_all(writers)
     print(
         f"pad seed {seed}; confirmed {report.bits_confirmed} bits; "
         f"ER {report.er_per_pixel:.4f} bpp ({report.er_per_step:.4f} bits/step)"
@@ -155,29 +164,23 @@ def cmd_extract(args) -> int:
 def cmd_analyze(args) -> int:
     model = _load_model(args)
     channels = 3 if args.rgb else 1
-    reports = []
-    names = []
-    for i in range(args.count):
-        # empty raw payload: every embedded bit comes from the seeded padding
-        # generator, i.e. a fresh uniformly random message per image
-        _, rep = coder.embed_image(
-            model,
-            args.width,
-            args.height,
-            channels,
-            b"",
-            prc=args.prc,
-            framed=False,
-            pad_seed=args.seed + i,
-            collect=True,
-        )
-        reports.append(rep)
-        names.append(f"img_{i:04d}")
-    metrics.write_csv(reports, names, args.out_csv)
-    ent_map, bits_map = metrics.heatmaps(reports)
-    pnm.write_image(ent_map, args.out_entropy_map)
-    pnm.write_image(bits_map, args.out_bits_map)
+    # empty raw payload: every embedded bit comes from the seeded padding
+    # generator, i.e. a fresh uniformly random message per image
+    reports = [
+        coder.embed_image(
+            model, args.width, args.height, channels, b"", prc=args.prc,
+            framed=False, pad_seed=args.seed + i, collect=True,
+        )[1]
+        for i in range(args.count)
+    ]
+    names = [f"img_{i:04d}" for i in range(args.count)]
     summary = metrics.aggregate(reports)
+    ent_map, bits_map = metrics.heatmaps(reports)
+    _write_all({
+        args.out_csv: lambda path: metrics.write_csv(reports, names, path),
+        args.out_entropy_map: lambda path: pnm.write_image(ent_map, path),
+        args.out_bits_map: lambda path: pnm.write_image(bits_map, path),
+    })
     for key, (mean, std) in summary.items():
         print(f"{key}: {mean:.4f} +/- {std:.4f}")
     return 0

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
-from .metrics import EmbedReport, StepRecord, step_stats
+from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
 from .models import PixelDistribution
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
+STATS_CHUNK = 256  # steps per step_stats call when embed_image collects stats
 PRC_MIN, PRC_MAX = 8, 62
 
 
@@ -46,7 +47,6 @@ class CoderState:
     prc: int = DEFAULT_PRC
     low: int = 0
     high: int = -1  # filled to 2^prc - 1
-    steps: int = 0
     confirmed: int = 0
 
     def __post_init__(self):
@@ -106,31 +106,22 @@ def _apply(state: CoderState, partition: QuantizedPartition, k: int) -> tuple[in
     mask = (1 << state.prc) - 1
     state.low = (low1 << s) & mask
     state.high = ((high1 << s) & mask) | ((1 << s) - 1)
-    state.steps += 1
     state.confirmed += s
     return s, prefix
 
 
-def embed_step(
-    state: CoderState,
-    dist: PixelDistribution,
-    msg: BitStream,
-    collect: bool = False,
-) -> StepRecord:
+def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
     partition = quantize(dist, state)
     t = msg.window(msg.confirmed_ptr, state.prc)
     k = bisect_right(partition.cut, t - state.low) - 1
-    stats = step_stats(partition, dist) if collect else ()
     s, _ = _apply(state, partition, k)
     msg.advance(s)
     q_width = partition.cut[k + 1] - partition.cut[k]
-    return StepRecord(int(partition.order[k]), s, q_width, partition.width, *stats)
+    return StepRecord(int(partition.order[k]), s, q_width, partition.width)
 
 
-def extract_step(
-    state: CoderState, dist: PixelDistribution, pixel: int
-) -> tuple[int, int]:
+def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
     partition = quantize(dist, state)
     k = int(dist.rank[pixel])
@@ -166,28 +157,41 @@ def embed_image(
     msg = BitStream(bits, pad_seed)
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
-    records = []
+    steps = np.empty(grid.steps, STEP_DTYPE)
+    dists = []  # the distributions of the steps whose stats are not filled in yet
     for pos in sequence_positions(width, height, channels):
         dist = model.distribution(grid, pos)
-        rec = embed_step(state, dist, msg, collect=collect)
+        steps[pos.index] = rec = embed_step(state, dist, msg)
         grid.data[pos.index] = rec.pixel_value
-        records.append(rec)
+        if collect:
+            dists.append(dist)
+            if len(dists) == STATS_CHUNK or pos.index == grid.steps - 1:
+                chunk = steps[pos.index + 1 - len(dists) : pos.index + 1]
+                for name, col in zip(STATS, step_stats(dists, chunk["width_before"]).T):
+                    chunk[name] = col
+                dists = []
     state.check()
     if framed and state.confirmed < bits.length:
         raise CapacityExceeded(
             f"image confirmed {state.confirmed} of {bits.length} framed bits"
         )
-    return grid, EmbedReport(width, height, channels, prc, records)
+    return grid, EmbedReport(width, height, channels, prc, steps)
 
 
 def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
     _check_run(model, image.channels, prc)
     state = CoderState(prc)
     out = BitString()
-    for pos in sequence_positions(image.width, image.height, image.channels):
-        dist = model.distribution(image, pos)
-        prefix, s = extract_step(state, dist, image.data[pos.index])
-        out.append(prefix, s)
+    try:
+        for pos in sequence_positions(image.width, image.height, image.channels):
+            dist = model.distribution(image, pos)
+            prefix, s = extract_step(state, dist, image.data[pos.index])
+            out.append(prefix, s)
+    except UndecodablePixel as e:
+        raise UndecodablePixel(
+            f"step {pos.index} (row {pos.row}, column {pos.col}, channel {pos.channel}) "
+            f"at prc {prc}: {e}"
+        ) from None
     state.check()
     return out
 

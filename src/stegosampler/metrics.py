@@ -24,45 +24,50 @@ def entropy(obj) -> float:
     """Shannon entropy in bits of a distribution or a quantized partition."""
     if isinstance(obj, PixelDistribution):
         return obj.entropy_bits
-    return shannon_bits(partition_probs(obj)[0])
+    return shannon_bits(np.diff(obj.cut) / obj.width)
 
 
-def partition_probs(partition) -> tuple[np.ndarray, np.ndarray]:
-    """(q over 256 symbols, mask of symbols with nonzero quantized width)."""
-    q = np.zeros(256)
-    ws = np.diff(partition.cut)
-    idx = partition.order[: len(ws)]
-    q[idx] = ws / partition.width
-    return q, q > 0
+def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> np.ndarray:
+    """(H(p), H(q), D_KL(q||p), D_JS(q||p)) in bits per step of a chunk, as an (n, 4) array.
 
-
-def _kld(q: np.ndarray, nz: np.ndarray, p: np.ndarray) -> float:
-    if np.any(p[nz] == 0):
+    Step k's q is what `quantize` makes of dists[k] over width_before[k] units.
+    Each distinct distribution (by identity) is read once, and ranks of equal
+    weight, which get equal q and p, are summed as one run; rank 0, which takes
+    the rounding deficit, is a run of its own.
+    """
+    _, first, row = np.unique([id(d) for d in dists], return_index=True, return_inverse=True)
+    uniq = [dists[i] for i in first]
+    sw = np.stack([d.sorted_weights for d in uniq])
+    starts = np.ones(sw.shape, dtype=bool)
+    starts[:, 2:] = sw[:, 2:] != sw[:, 1:-1]
+    cell = np.cumsum(starts, axis=1) - 1
+    runs = cell[:, -1].max() + 1
+    cell += runs * np.arange(len(uniq))[:, None]
+    mult = np.bincount(cell.ravel(), minlength=len(uniq) * runs).reshape(-1, runs)[row]
+    vals = np.zeros((len(uniq), runs), dtype=np.int64)
+    np.put(vals, cell, sw)
+    vals, total = vals[row], np.array([d.total for d in uniq])[row]
+    w = np.asarray(width_before, dtype=np.int64)
+    # the overflow guard of quantize: rows past it wrap around in int64, so redo them exactly
+    big = np.array([int(a).bit_length() + int(b).bit_length() > 63 for a, b in zip(w, vals[:, 0])])
+    ws = vals * w[:, None] // total[:, None]
+    ws[big] = vals[big].astype(object) * w[big, None] // total[big, None]
+    ws[:, 0] += w - (ws * mult).sum(axis=1)
+    m = np.count_nonzero(ws, axis=1).max()  # nonzero widths are a prefix of each row
+    ws, mult, vals = ws[:, :m], mult[:, :m], vals[:, :m]
+    nz = ws > 0
+    if (nz & (vals == 0)).any():
         raise AbsoluteContinuityViolated("quantized mass on a zero-weight symbol")
-    return float((q[nz] * np.log2(q[nz] / p[nz])).sum())
-
-
-def _jsd(q: np.ndarray, nz: np.ndarray, p: np.ndarray) -> float:
-    m = 0.5 * (p + q)
-    pnz = p > 0
-    dqm = (q[nz] * np.log2(q[nz] / m[nz])).sum()
-    dpm = (p[pnz] * np.log2(p[pnz] / m[pnz])).sum()
-    return float(0.5 * dqm + 0.5 * dpm)
-
-
-def kld_q_p(partition, dist: PixelDistribution) -> float:
-    return _kld(*partition_probs(partition), dist.probs)
-
-
-def jsd_q_p(partition, dist: PixelDistribution) -> float:
-    return _jsd(*partition_probs(partition), dist.probs)
-
-
-def step_stats(partition, dist: PixelDistribution) -> tuple[float, float, float, float]:
-    """(H(p), H(q), D_KL(q||p), D_JS(q||p)) for one coding step, in bits."""
-    q, nz = partition_probs(partition)
-    p = dist.probs
-    return dist.entropy_bits, shannon_bits(q), _kld(q, nz, p), _jsd(q, nz, p)
+    q, p = ws / w[:, None], vals / total[:, None]
+    ratio = np.divide(q, p, out=np.ones_like(q), where=nz)  # 1 where q = 0
+    h_q = -(mult * q * np.log2(q, out=np.zeros_like(q), where=nz)).sum(axis=1)
+    kld = (mult * q * np.log2(ratio)).sum(axis=1)
+    # With m = (p + q)/2, q·log2(q/m) + p·log2(p/m) = q·log2(q/p) - (p + q)·log2(m/p): 0 where
+    # q = 0, and there p·log2(p/m) is exactly p, summed as the mass of p outside q.
+    outside = (total - np.where(nz, vals * mult, 0).sum(axis=1)) / total
+    jsd = 0.5 * (kld - (mult * (p + q) * np.log2(0.5 + 0.5 * ratio)).sum(axis=1) + outside)
+    h_p = np.array([d.entropy_bits for d in uniq])[row]
+    return np.column_stack([h_p, h_q, kld, jsd])
 
 
 class StepRecord(NamedTuple):
@@ -123,8 +128,6 @@ class EmbedReport:
     def _mean(self, field: str) -> float:
         return float(np.mean(self.column(field)))
 
-    mean_h_p = property(lambda self: self._mean("h_p"))
-    mean_h_q = property(lambda self: self._mean("h_q"))
     mean_kld = property(lambda self: self._mean("kld"))
     mean_jsd = property(lambda self: self._mean("jsd"))
 
@@ -148,30 +151,22 @@ def aggregate(reports: Sequence[EmbedReport]) -> dict[str, tuple[float, float]]:
 def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> None:
     """Detail row per image plus mean and std summary rows."""
     summary = aggregate(reports)
-
-    def emit(f):
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        for name, rep in zip(names, reports):
-            w.writerow(rep.row(name))
-        w.writerow(["mean", "", ""] + [summary[k][0] for k in CSV_HEADER[3:]])
-        w.writerow(["std", "", ""] + [summary[k][1] for k in CSV_HEADER[3:]])
-
+    rows = [CSV_HEADER, *(rep.row(name) for name, rep in zip(names, reports))]
+    for i, label in enumerate(("mean", "std")):
+        rows.append([label, "", ""] + [summary[k][i] for k in CSV_HEADER[3:]])
     if hasattr(sink, "write"):
-        emit(sink)
+        csv.writer(sink).writerows(rows)
     else:
         with open(sink, "w", newline="") as f:
-            emit(f)
+            csv.writer(f).writerows(rows)
 
 
 def _scale_to_bytes(field_: np.ndarray) -> bytearray:
     lo, hi = field_.min(), field_.max()
     if hi > lo:
         scaled = np.round((field_ - lo) / (hi - lo) * 255)
-    elif hi > 0:
-        scaled = np.full_like(field_, 255.0)
     else:
-        scaled = np.zeros_like(field_)
+        scaled = np.full_like(field_, 255.0 if hi > 0 else 0.0)
     return bytearray(scaled.astype(np.uint8).tobytes())
 
 
@@ -190,9 +185,6 @@ def heatmaps(reports: Sequence[EmbedReport]) -> tuple[ImageGrid, ImageGrid]:
     Multi-channel step values are averaged per pixel so the maps stay gray.
     """
     w, h, c = reports[0].width, reports[0].height, reports[0].channels
-    ent = position_means(reports, "h_p").reshape(h * w, c).mean(axis=1).reshape(h, w)
-    bits = position_means(reports, "bits_confirmed").reshape(h * w, c).mean(axis=1).reshape(h, w)
-    return (
-        ImageGrid(w, h, 1, _scale_to_bytes(ent)),
-        ImageGrid(w, h, 1, _scale_to_bytes(bits)),
-    )
+    fields = ("h_p", "bits_confirmed")
+    maps = [position_means(reports, f).reshape(h * w, c).mean(axis=1) for f in fields]
+    return tuple(ImageGrid(w, h, 1, _scale_to_bytes(m)) for m in maps)

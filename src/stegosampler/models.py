@@ -47,7 +47,7 @@ class StreamExhausted(ValueError):
 class PixelDistribution:
     """256 non-negative integer weights; weights[v]/total is p(v)."""
 
-    __slots__ = ("weights", "total", "order", "sorted_weights", "rank", "_probs", "_h_bits")
+    __slots__ = ("weights", "total", "order", "sorted_weights", "rank", "_h_bits")
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.int64)
@@ -64,19 +64,12 @@ class PixelDistribution:
         self.order = np.argsort(-w, kind="stable")
         self.sorted_weights = w[self.order]  # non-increasing
         self.rank = np.argsort(self.order)  # inverse of order: order[rank[v]] == v
-        self._probs = None
         self._h_bits = None
-
-    @property
-    def probs(self) -> np.ndarray:
-        if self._probs is None:
-            self._probs = self.weights / self.total
-        return self._probs
 
     @property
     def entropy_bits(self) -> float:
         if self._h_bits is None:
-            self._h_bits = shannon_bits(self.probs)
+            self._h_bits = shannon_bits(self.weights / self.total)
         return self._h_bits
 
 

@@ -133,7 +133,8 @@ class TestEmbedExtract:
             "--raw", "--out", str(tmp_path / "o.bin"),
         )
         assert code == 4
-        assert_one_error_line(capsys)
+        line = assert_one_error_line(capsys)
+        assert "step 0 (row 0, column 0, channel 0) at prc 26: pixel " in line
 
     def test_determinism(self, tmp_path):
         msg = tmp_path / "m.bin"
@@ -187,12 +188,19 @@ BAD_INPUT_PROBES = {
     "extract-out-missing-dir": "extract --uniform --image {d}/gray.pgm --raw --out {missing}/o.bin",
     "embed-report-missing-dir": f"{EMBED} --uniform --raw --out {{d}}/s.pgm "
     "--report {missing}/r.csv",
+    "embed-out-missing-dir-with-report": f"{EMBED} --uniform --raw --out {{missing}}/s.pgm "
+    "--report {d}/r.csv",
+    "analyze-bits-map-missing-dir": ANALYZE.replace("{d}/b.pgm", "{missing}/b.pgm") + " --uniform",
 }
 
 
-# a path the probe's error line must name, and a file the failed command must not leave
+# a path the probe's error line must name, and the files the failed command must not leave
 PROBE_NAMES = {"train-maxval-17": "{d}/maxval17/a.pgm"}
-PROBE_LEAVES_NO = {"embed-report-missing-dir": "{d}/s.pgm"}
+PROBE_LEAVES_NO = {
+    "embed-report-missing-dir": ["{d}/s.pgm"],
+    "embed-out-missing-dir-with-report": ["{d}/r.csv", "{missing}/s.pgm"],
+    "analyze-bits-map-missing-dir": ["{d}/a.csv", "{d}/e.pgm"],
+}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
@@ -202,8 +210,9 @@ def test_bad_input_exit_2(probe, bad_inputs, capsys):
     line = assert_one_error_line(capsys)
     if probe in PROBE_NAMES:
         assert PROBE_NAMES[probe].format(**bad_inputs) in line
-    if probe in PROBE_LEAVES_NO:
-        assert not os.path.exists(PROBE_LEAVES_NO[probe].format(**bad_inputs))
+    for path in PROBE_LEAVES_NO.get(probe, []):
+        assert not os.path.exists(path.format(**bad_inputs))
+    assert not [n for n in os.listdir(bad_inputs["d"]) if n.endswith(".tmp")]
 
 
 class TestAnalyze:

@@ -161,6 +161,16 @@ class TestImages:
         with pytest.raises(UndecodablePixel):
             extract_image(DegenerateModel(7), grid, framed=False)
 
+    def test_undecodable_pixel_names_its_step(self):
+        weights = np.ones(256, dtype=np.int64)
+        weights[200] = 0
+        model = FixedModel(weights)
+        grid, _ = embed_image(model, 3, 2, 3, b"", prc=30, framed=False, pad_seed=4)
+        grid.data[(1 * 3 + 2) * 3 + 1] = 200  # row 1, column 2, channel 1
+        where = r"step 16 \(row 1, column 2, channel 1\) at prc 30: pixel 200 "
+        with pytest.raises(UndecodablePixel, match=where):
+            extract_image(model, grid, prc=30, framed=False)
+
     def test_prc_range(self):
         with pytest.raises(ValueError):
             embed_image(UniformModel(), 2, 2, 1, b"", prc=7, framed=False)
