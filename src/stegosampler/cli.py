@@ -117,19 +117,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_all(writers: dict) -> None:
+def _write_all(writers: dict) -> dict:
     """Write each path with its writer, all or none: to temporary names beside
-    the paths, renamed only once every write succeeded."""
+    the paths, renamed only once every write succeeded. Returns what each
+    writer returned, by path."""
     temps = {path: f"{path}.{os.getpid()}.tmp" for path in writers}
     try:
-        for path, write in writers.items():
-            write(temps[path])
+        results = {path: write(temps[path]) for path, write in writers.items()}
     except BaseException:
         for tmp in filter(os.path.exists, temps.values()):
             os.remove(tmp)
         raise
     for path, tmp in temps.items():
         os.replace(tmp, path)
+    return results
 
 
 def cmd_embed(args) -> int:
@@ -162,6 +163,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count {args.count}: need at least one image")
     model = _load_model(args)
     channels = 3 if args.rgb else 1
     # empty raw payload: every embedded bit comes from the seeded padding
@@ -174,14 +177,13 @@ def cmd_analyze(args) -> int:
         for i in range(args.count)
     ]
     names = [f"img_{i:04d}" for i in range(args.count)]
-    summary = metrics.aggregate(reports)
     ent_map, bits_map = metrics.heatmaps(reports)
-    _write_all({
+    written = _write_all({
         args.out_csv: lambda path: metrics.write_csv(reports, names, path),
         args.out_entropy_map: lambda path: pnm.write_image(ent_map, path),
         args.out_bits_map: lambda path: pnm.write_image(bits_map, path),
     })
-    for key, (mean, std) in summary.items():
+    for key, (mean, std) in written[args.out_csv].items():
         print(f"{key}: {mean:.4f} +/- {std:.4f}")
     return 0
 

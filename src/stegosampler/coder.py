@@ -14,7 +14,7 @@ import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import PixelDistribution
+from .models import PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -68,13 +68,24 @@ class CoderState:
 class QuantizedPartition:
     """Integer tiling of the current interval, most probable symbols first.
 
-    cut holds boundaries for the symbols with nonzero width only (the tail of
-    the sorted order is empty); cut[0] = 0 and cut[-1] = width always.
+    The distribution's runs of equal weight tile it in rank order: each
+    symbol of run r gets f[r] units, so the run spans bounds[r] up to
+    bounds[r + 1]. Run 0 is rank 0 alone, and f[0] includes the rounding
+    deficit; bounds[0] = 0 and bounds[-1] = width always.
     """
 
     order: np.ndarray  # permutation of 0..255, weight-descending, ties by value
-    cut: list[int]
+    run_start: np.ndarray  # first rank of each run, then 256
+    f: np.ndarray  # units per symbol of each run
+    bounds: list[int]
     width: int
+
+    @property
+    def cut(self) -> list[int]:
+        """Boundaries of the symbols with nonzero width, in rank order (the tail of
+        the sorted order is empty); cut[0] = 0 and cut[-1] = width."""
+        ws = np.repeat(self.f, np.diff(self.run_start))
+        return [0, *ws[: np.count_nonzero(ws)].cumsum().tolist()]
 
 
 def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
@@ -84,22 +95,23 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     probable symbol, which therefore always stays selectable.
     """
     width = state.width
-    sw = dist.sorted_weights
-    if width.bit_length() + int(sw[0]).bit_length() > 63:
+    rw = dist.run_w
+    if width.bit_length() + int(rw[0]).bit_length() > 63:
         # products could overflow int64 (high prc, totals near 2^40): exact Python ints
-        sw = sw.astype(object)
-    ws = width * sw // dist.total
-    n = max(int(np.count_nonzero(ws)), 1)  # floors are non-increasing
-    bounds = ws[:n].cumsum()
-    bounds += width - bounds[-1]  # the rounding deficit widens rank 0
-    cut = [0] + bounds.tolist()
-    return QuantizedPartition(dist.order, cut, width)
+        rw = rw.astype(object)
+    f = width * rw // dist.total
+    bounds = (f * dist.run_len).cumsum()
+    deficit = width - bounds[-1]
+    f[0] += deficit  # widens rank 0, alone in run 0
+    bounds += deficit
+    return QuantizedPartition(dist.order, dist.run_start, f, [0, *bounds.tolist()], width)
 
 
-def _apply(state: CoderState, partition: QuantizedPartition, k: int) -> tuple[int, int]:
-    """Narrow to subinterval k, shift out the shared prefix; returns (s, prefix)."""
-    low1 = state.low + partition.cut[k]
-    high1 = state.low + partition.cut[k + 1] - 1
+def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
+    """Narrow to [low + offset, low + offset + width), shift out the shared prefix;
+    returns (s, prefix)."""
+    low1 = state.low + offset
+    high1 = low1 + width - 1
     diff = low1 ^ high1
     s = state.prc if diff == 0 else state.prc - diff.bit_length()
     prefix = low1 >> (state.prc - s) if s else 0
@@ -113,22 +125,34 @@ def _apply(state: CoderState, partition: QuantizedPartition, k: int) -> tuple[in
 def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
     partition = quantize(dist, state)
-    t = msg.window(msg.confirmed_ptr, state.prc)
-    k = bisect_right(partition.cut, t - state.low) - 1
-    s, _ = _apply(state, partition, k)
+    bounds = partition.bounds
+    x = msg.window(msg.confirmed_ptr, state.prc) - state.low
+    r = bisect_right(bounds, x) - 1  # the run, then the symbol within it
+    q_width = int(partition.f[r])
+    i = (x - bounds[r]) // q_width
+    s, _ = _apply(state, bounds[r] + i * q_width, q_width)
     msg.advance(s)
-    q_width = partition.cut[k + 1] - partition.cut[k]
-    return StepRecord(int(partition.order[k]), s, q_width, partition.width)
+    pixel = partition.order[int(partition.run_start[r]) + i]
+    return StepRecord(int(pixel), s, q_width, partition.width)
 
 
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
     partition = quantize(dist, state)
     k = int(dist.rank[pixel])
-    if k + 1 >= len(partition.cut) or partition.cut[k + 1] == partition.cut[k]:
+    r = bisect_right(partition.run_start, k) - 1
+    q_width = int(partition.f[r])
+    if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")
-    s, prefix = _apply(state, partition, k)
+    offset = partition.bounds[r] + (k - int(partition.run_start[r])) * q_width
+    s, prefix = _apply(state, offset, q_width)
     return prefix, s
+
+
+def _located(e: ValueError, pos, prc: int) -> ValueError:
+    """The same error, its message prefixed with the step's position and the prc."""
+    where = f"step {pos.index} (row {pos.row}, column {pos.col}, channel {pos.channel})"
+    return type(e)(f"{where} at prc {prc}: {e}")
 
 
 def _check_run(model, channels: int, prc: int) -> None:
@@ -159,21 +183,25 @@ def embed_image(
     grid = ImageGrid.blank(width, height, channels)
     steps = np.empty(grid.steps, STEP_DTYPE)
     dists = []  # the distributions of the steps whose stats are not filled in yet
-    for pos in sequence_positions(width, height, channels):
-        dist = model.distribution(grid, pos)
-        steps[pos.index] = rec = embed_step(state, dist, msg)
-        grid.data[pos.index] = rec.pixel_value
-        if collect:
-            dists.append(dist)
-            if len(dists) == STATS_CHUNK or pos.index == grid.steps - 1:
-                chunk = steps[pos.index + 1 - len(dists) : pos.index + 1]
-                for name, col in zip(STATS, step_stats(dists, chunk["width_before"]).T):
-                    chunk[name] = col
-                dists = []
+    try:
+        for pos in sequence_positions(width, height, channels):
+            dist = model.distribution(grid, pos)
+            steps[pos.index] = rec = embed_step(state, dist, msg)
+            grid.data[pos.index] = rec.pixel_value
+            if collect:
+                dists.append(dist)
+                if len(dists) == STATS_CHUNK or pos.index == grid.steps - 1:
+                    chunk = steps[pos.index + 1 - len(dists) : pos.index + 1]
+                    for name, col in zip(STATS, step_stats(dists, chunk["width_before"]).T):
+                        chunk[name] = col
+                    dists = []
+    except StreamExhausted as e:
+        raise _located(e, pos, prc) from None
     state.check()
     if framed and state.confirmed < bits.length:
         raise CapacityExceeded(
-            f"image confirmed {state.confirmed} of {bits.length} framed bits"
+            f"image confirmed {state.confirmed} of {bits.length} framed bits "
+            f"at prc {prc}, final interval [{state.low}, {state.high}]"
         )
     return grid, EmbedReport(width, height, channels, prc, steps)
 
@@ -187,11 +215,8 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
             dist = model.distribution(image, pos)
             prefix, s = extract_step(state, dist, image.data[pos.index])
             out.append(prefix, s)
-    except UndecodablePixel as e:
-        raise UndecodablePixel(
-            f"step {pos.index} (row {pos.row}, column {pos.col}, channel {pos.channel}) "
-            f"at prc {prc}: {e}"
-        ) from None
+    except (UndecodablePixel, StreamExhausted) as e:
+        raise _located(e, pos, prc) from None
     state.check()
     return out
 

@@ -31,22 +31,19 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     """(H(p), H(q), D_KL(q||p), D_JS(q||p)) in bits per step of a chunk, as an (n, 4) array.
 
     Step k's q is what `quantize` makes of dists[k] over width_before[k] units.
-    Each distinct distribution (by identity) is read once, and ranks of equal
-    weight, which get equal q and p, are summed as one run; rank 0, which takes
-    the rounding deficit, is a run of its own.
+    Each distinct distribution (by identity) is read once, and the ranks of
+    each of its runs of equal weight, which get equal q and p, are summed as
+    one cell.
     """
     _, first, row = np.unique([id(d) for d in dists], return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]
-    sw = np.stack([d.sorted_weights for d in uniq])
-    starts = np.ones(sw.shape, dtype=bool)
-    starts[:, 2:] = sw[:, 2:] != sw[:, 1:-1]
-    cell = np.cumsum(starts, axis=1) - 1
-    runs = cell[:, -1].max() + 1
-    cell += runs * np.arange(len(uniq))[:, None]
-    mult = np.bincount(cell.ravel(), minlength=len(uniq) * runs).reshape(-1, runs)[row]
+    runs = max(len(d.run_w) for d in uniq)
     vals = np.zeros((len(uniq), runs), dtype=np.int64)
-    np.put(vals, cell, sw)
-    vals, total = vals[row], np.array([d.total for d in uniq])[row]
+    mult = np.zeros((len(uniq), runs), dtype=np.int64)
+    for j, d in enumerate(uniq):
+        vals[j, : len(d.run_w)] = d.run_w
+        mult[j, : len(d.run_len)] = d.run_len
+    vals, mult, total = vals[row], mult[row], np.array([d.total for d in uniq])[row]
     w = np.asarray(width_before, dtype=np.int64)
     # the overflow guard of quantize: rows past it wrap around in int64, so redo them exactly
     big = np.array([int(a).bit_length() + int(b).bit_length() > 63 for a, b in zip(w, vals[:, 0])])
@@ -137,21 +134,27 @@ class EmbedReport:
         return [name, len(self.steps), *rates, *(self._mean(f) for f in STATS)]
 
 
-def aggregate(reports: Sequence[EmbedReport]) -> dict[str, tuple[float, float]]:
-    """Mean and sample std (ddof=1; 0 for a single report) of the rate columns."""
-    if not reports:
+def _summary(rows: Sequence[list]) -> dict[str, tuple[float, float]]:
+    """Mean and sample std (ddof=1; 0 for a single row) of the rate columns of CSV rows."""
+    if not rows:
         raise ValueError("need at least one report")
-    table = np.array([rep.row("")[3:] for rep in reports])
+    table = np.array([row[3:] for row in rows])
     return {
         key: (float(vals.mean()), float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)
         for key, vals in zip(CSV_HEADER[3:], table.T)
     }
 
 
-def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> None:
-    """Detail row per image plus mean and std summary rows."""
-    summary = aggregate(reports)
-    rows = [CSV_HEADER, *(rep.row(name) for name, rep in zip(names, reports))]
+def aggregate(reports: Sequence[EmbedReport]) -> dict[str, tuple[float, float]]:
+    """Mean and sample std (ddof=1; 0 for a single report) of the rate columns."""
+    return _summary([rep.row("") for rep in reports])
+
+
+def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> dict:
+    """Detail row per image plus mean and std summary rows; returns the summary, as `aggregate`."""
+    detail = [rep.row(name) for name, rep in zip(names, reports, strict=True)]
+    summary = _summary(detail)
+    rows = [CSV_HEADER, *detail]
     for i, label in enumerate(("mean", "std")):
         rows.append([label, "", ""] + [summary[k][i] for k in CSV_HEADER[3:]])
     if hasattr(sink, "write"):
@@ -159,6 +162,7 @@ def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> Non
     else:
         with open(sink, "w", newline="") as f:
             csv.writer(f).writerows(rows)
+    return summary
 
 
 def _scale_to_bytes(field_: np.ndarray) -> bytearray:

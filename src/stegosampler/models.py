@@ -14,6 +14,7 @@ WEIGHT_TOTAL_LIMIT = 1 << 40  # headroom for interval multiplication at prc <= 6
 MODEL_MAGIC = b"PSCM"
 STREAM_MAGIC = b"PSDS"
 EDGE = -1  # out-of-image neighbor sentinel (stored as bucket index B)
+STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
 
 
 class EmptyCorpus(ValueError):
@@ -45,25 +46,27 @@ class StreamExhausted(ValueError):
 
 
 class PixelDistribution:
-    """256 non-negative integer weights; weights[v]/total is p(v)."""
+    """256 non-negative integer weights; weights[v]/total is p(v).
 
-    __slots__ = ("weights", "total", "order", "sorted_weights", "rank", "_h_bits")
+    The symbols sorted by weight fall into runs of equal weight, which the
+    coder and the stats work over: run r holds ranks run_start[r] up to
+    run_start[r + 1], each of weight run_w[r]. Rank 0, which takes the
+    rounding deficit, is always a run of its own, and run_start ends with 256.
+    """
 
-    def __init__(self, weights):
+    __slots__ = (
+        "weights", "total", "order", "sorted_weights", "rank",
+        "run_start", "run_w", "run_len", "_h_bits",
+    )
+
+    def __init__(self, weights, sorted_row=None):
+        """`sorted_row` is what `_sort_rows` derived for these weights, if a table was sorted at once."""
         w = np.asarray(weights, dtype=np.int64)
-        if w.shape != (256,):
-            raise ValueError("need exactly 256 weights")
-        if w.min() < 0:
-            raise ValueError("weights must be non-negative")
-        total = int(w.sum())
-        if not 0 < total < WEIGHT_TOTAL_LIMIT:
-            raise ValueError(f"total {total} outside (0, 2^40)")
+        if sorted_row is None:
+            (sorted_row,) = _sort_rows(w[None])
         self.weights = w
-        self.total = total
-        # symbols sorted by weight descending, ties by ascending value
-        self.order = np.argsort(-w, kind="stable")
-        self.sorted_weights = w[self.order]  # non-increasing
-        self.rank = np.argsort(self.order)  # inverse of order: order[rank[v]] == v
+        (self.total, self.order, self.sorted_weights, self.rank,
+         self.run_start, self.run_w, self.run_len) = sorted_row
         self._h_bits = None
 
     @property
@@ -71,6 +74,45 @@ class PixelDistribution:
         if self._h_bits is None:
             self._h_bits = shannon_bits(self.weights / self.total)
         return self._h_bits
+
+
+def _sort_rows(w: np.ndarray) -> list[tuple]:
+    """(total, order, sorted_weights, rank, run_start, run_w, run_len) of the rows of an int64
+    (n, 256) weight table, sorted in one pass. Rows from the first invalid one on are left
+    out; an invalid first row raises as a PixelDistribution of it would."""
+    if w.ndim != 2 or w.shape[1] != 256:
+        raise ValueError("need exactly 256 weights")
+    totals = w.sum(axis=1)
+    negative = w.min(axis=1) < 0
+    bad = negative | (totals <= 0) | (totals >= WEIGHT_TOTAL_LIMIT)
+    if bad[:1].any():
+        if negative[0]:
+            raise ValueError("weights must be non-negative")
+        raise ValueError(f"total {int(totals[0])} outside (0, 2^40)")
+    if bad.any():
+        w = w[: bad.argmax()]
+    # symbols sorted by weight descending, ties by ascending value: every weight is below
+    # 2^40, so one sort of (weight << 8 | 255 - value) keys, read backwards, gives both
+    key = np.sort(w << 8 | np.arange(255, -1, -1), axis=1)[:, ::-1]
+    sw = key >> 8  # non-increasing
+    order = 255 - (key & 255)
+    rows = np.arange(len(w))[:, None]
+    rank = np.empty_like(order)  # inverse of order: order[rank[v]] == v
+    rank[rows, order] = np.arange(256)
+    # runs: rank 0 alone, then each stretch of equal weight from rank 1 on. Every array is
+    # (n, 256) or (n, 257), so a stream's chunks reuse the same heap blocks; arrays sized by
+    # the number of runs left holes that later large allocations could not use.
+    edge = np.ones((len(w), 257), dtype=bool)  # edge[:, 256] ends the last run
+    edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]
+    runs = edge.sum(axis=1) - 1
+    run_start = np.where(edge, np.arange(257), 256)
+    run_start.sort(axis=1)  # a row's run starts, then 256 to the end of the row
+    run_w = sw[rows, run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
+    run_len = run_start[:, 1:] - run_start[:, :-1]
+    return [
+        (total, order[i], sw[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r])
+        for i, (total, r) in enumerate(zip(totals.tolist(), runs.tolist()))
+    ]
 
 
 def shannon_bits(p: np.ndarray) -> float:
@@ -108,23 +150,32 @@ class DegenerateModel(FixedModel):
 class StreamModel:
     """Distributions precomputed by an external process, one per step.
 
-    One embed or extract asks for each step once, so distributions are built
-    on request and not kept.
+    One embed or extract asks for each step once, in order, so distributions
+    are built on request, STREAM_CHUNK steps at a time in one sorting pass,
+    and only the current chunk is kept.
     """
 
     def __init__(self, weights_per_step: np.ndarray):
         self.table = np.asarray(weights_per_step)
         if self.table.ndim != 2 or self.table.shape[1] != 256:
             raise ValueError("stream table must be (steps, 256)")
+        self._first = 0  # step of self._chunk[0]
+        self._chunk: list[PixelDistribution] = []
 
     @property
     def steps(self) -> int:
         return self.table.shape[0]
 
     def distribution(self, prefix, pos) -> PixelDistribution:
-        if pos.index >= self.steps:
-            raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
-        return PixelDistribution(self.table[pos.index])
+        i = pos.index - self._first
+        if not 0 <= i < len(self._chunk):
+            if pos.index >= self.steps:
+                raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
+            self._chunk = []  # the old chunk goes before the next is built
+            w = np.asarray(self.table[pos.index : pos.index + STREAM_CHUNK], dtype=np.int64)
+            self._chunk = [PixelDistribution(w[i], row) for i, row in enumerate(_sort_rows(w))]
+            self._first, i = pos.index, 0
+        return self._chunk[i]
 
 
 def _bucket(value: int, buckets: int) -> int:

@@ -86,7 +86,8 @@ class TestEmbedExtract:
             "--width", "2", "--height", "2", "--seed", "1", "--out", str(tmp_path / "s.pgm"),
         )
         assert code == 3
-        assert_one_error_line(capsys)
+        line = assert_one_error_line(capsys)
+        assert "confirmed 0 of 32 framed bits at prc 26, final interval [0, 67108863]" in line
 
     def test_full_pipeline_checksum(self, corpus_dir, tmp_path):
         model_path = tmp_path / "model.pscm"
@@ -135,6 +136,23 @@ class TestEmbedExtract:
         assert code == 4
         line = assert_one_error_line(capsys)
         assert "step 0 (row 0, column 0, channel 0) at prc 26: pixel " in line
+
+    @pytest.mark.parametrize("command", ["embed", "extract"])
+    def test_short_stream_names_its_step(self, command, tmp_path, capsys):
+        # a 4-step stream for a 3x2 image runs out at row 1, column 1
+        models.save_stream(np.ones((4, 256), dtype=np.int64), tmp_path / "short.psds")
+        (tmp_path / "m.bin").write_bytes(b"")
+        pnm.write_image(pnm.ImageGrid(3, 2, 1, bytearray(6)), tmp_path / "s.pgm")
+        argv = {
+            "embed": ["--message", str(tmp_path / "m.bin"), "--width", "3", "--height", "2",
+                      "--raw", "--seed", "1", "--out", str(tmp_path / "o.pgm")],
+            "extract": ["--image", str(tmp_path / "s.pgm"), "--raw", "--out", str(tmp_path / "o.bin")],
+        }[command]
+        code = run(command, "--dist-stream", str(tmp_path / "short.psds"), "--prc", "30", *argv)
+        assert code == 2
+        line = assert_one_error_line(capsys)
+        where = "step 4 (row 1, column 1, channel 0) at prc 30: stream has 4 steps, step 4 requested"
+        assert where in line
 
     def test_determinism(self, tmp_path):
         msg = tmp_path / "m.bin"
@@ -242,8 +260,8 @@ class TestSelftest:
 
         def skewed(dist, state):
             part = real(dist, state)
-            if len(part.cut) > 2:  # nudge one boundary
-                part.cut[1] += 1
+            if len(part.bounds) > 2:  # nudge one boundary
+                part.bounds[1] += 1
             return part
 
         monkeypatch.setattr(coder, "quantize", skewed)

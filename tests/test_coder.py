@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from stegosampler.coder import (
     CoderState,
     NoParityMass,
     UndecodablePixel,
+    _apply,
     embed_image,
     embed_step,
     extract_image,
@@ -279,6 +281,65 @@ def test_quantize_matches_exact_oracle(weights, register):
     assert part.order.tolist() == order
     assert part.cut == cut
     assert all(type(c) is int for c in part.cut)
+
+
+@st.composite
+def run_weights(draw):
+    """256 weights drawn from a few values, zeros included, so that runs are long."""
+    bits = draw(st.sampled_from([2, 8, 24, 32]))
+    values = draw(st.lists(st.integers(1 << (bits - 1), (1 << bits) - 1), min_size=1, max_size=4))
+    w = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
+    w[draw(st.integers(0, 255))] = values[0]  # total > 0
+    return w
+
+
+@st.composite
+def scaled_registers(draw):
+    """(prc, low, high) like `registers`, with the width's bit length drawn evenly from 1..prc,
+    so that intervals fall on both sides of the int64 guard."""
+    prc = draw(st.integers(8, 62))
+    bits = draw(st.integers(1, prc))
+    width = draw(st.integers(max(2, 1 << (bits - 1)), 1 << bits))
+    low = draw(st.integers(0, (1 << prc) - width))
+    return prc, low, low + width - 1
+
+
+def clone(state):
+    return CoderState(state.prc, state.low, state.high, state.confirmed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_weights(), scaled_registers(), st.integers(0, 2**64 - 1))
+# one run of 255 equal symbols behind rank 0, on the int64 side of the guard
+@example([5] * 256, (26, 0, (1 << 26) - 1), 12345).via("int64 path")
+# the same past the guard: 62-bit interval, 32-bit weights
+@example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1), 1 << 61).via("fallback")
+def test_run_steps_match_the_full_cut(weights, register, u):
+    """embed_step and extract_step over runs give what bisecting the per-symbol `cut` gives."""
+    prc, low, high = register
+    dist = PixelDistribution(weights)
+    state = CoderState(prc, low=low, high=high)
+    order, cut = quantize_oracle(weights, low, high)
+    x = u % state.width  # the message window, relative to low
+
+    k = bisect_right(cut, x) - 1
+    expect = clone(state)
+    s = _apply(expect, cut[k], cut[k + 1] - cut[k])[0]
+    got = clone(state)
+    rec = embed_step(got, dist, BitStream(BitString(low + x, prc), 0))
+    assert (rec.pixel_value, rec.q_width, rec.bits_confirmed) == (order[k], cut[k + 1] - cut[k], s)
+    assert (got.low, got.high) == (expect.low, expect.high)
+
+    for k, pixel in enumerate(order):
+        got = clone(state)
+        if k + 1 >= len(cut):
+            with pytest.raises(UndecodablePixel):
+                extract_step(got, dist, pixel)
+            continue
+        expect = clone(state)
+        s, prefix = _apply(expect, cut[k], cut[k + 1] - cut[k])
+        assert extract_step(got, dist, pixel) == (prefix, s)
+        assert (got.low, got.high) == (expect.low, expect.high)
 
 
 @st.composite

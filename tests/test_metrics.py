@@ -38,12 +38,13 @@ def dist(**mass):
 
 
 def partition(widths_by_symbol):
-    """Hand-built partition: {symbol: width} in rank order."""
+    """Hand-built partition: {symbol: width} in rank order, each symbol a run of its own
+    and the other symbols one run of width 0."""
     order = np.array(list(widths_by_symbol) + [v for v in range(256) if v not in widths_by_symbol])
-    cut = [0]
-    for w in widths_by_symbol.values():
-        cut.append(cut[-1] + w)
-    return QuantizedPartition(order, cut, cut[-1])
+    widths = list(widths_by_symbol.values())
+    run_start = np.array([*range(len(widths)), len(widths), 256])
+    bounds = [0, *np.cumsum(widths).tolist(), sum(widths)]
+    return QuantizedPartition(order, run_start, np.array([*widths, 0]), bounds, bounds[-1])
 
 
 class TestEntropy:
@@ -112,7 +113,7 @@ class TestDivergences:
     def test_absolute_continuity(self):
         # a distribution whose top rank has zero weight: the deficit puts q's mass there
         d = dist(**{"5": 1, "9": 1})
-        d.sorted_weights = np.roll(d.sorted_weights, 1)
+        d.run_w = np.roll(d.run_w, 1)
         with pytest.raises(AbsoluteContinuityViolated):
             step_stats([d], [1])
 

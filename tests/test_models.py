@@ -13,8 +13,10 @@ from stegosampler.models import (
     FixedModel,
     MixedChannelCorpus,
     NegativeProbability,
+    STREAM_CHUNK,
     PixelDistribution,
     StreamExhausted,
+    StreamModel,
     UniformModel,
     UnsupportedVersion,
     load_model,
@@ -118,6 +120,17 @@ class TestSerialization:
         assert load_model(path).channels == 3
 
 
+def runs_of(sorted_weights) -> list[tuple[int, int, int]]:
+    """(first rank, weight, length) of each run: rank 0 alone, then ranks of equal weight."""
+    runs = [[0, sorted_weights[0], 1]]
+    for k in range(1, 256):
+        if k > 1 and sorted_weights[k] == runs[-1][1]:
+            runs[-1][2] += 1
+        else:
+            runs.append([k, sorted_weights[k], 1])
+    return [tuple(r) for r in runs]
+
+
 class TestStream:
     def test_roundtrip_and_exhaustion(self):
         table = np.arange(2 * 256).reshape(2, 256) % 7 + 1
@@ -147,6 +160,37 @@ class TestStream:
         table[1, 5] = value
         with pytest.raises(ValueError):
             save_stream(table, None)
+
+    def test_chunks_build_what_single_rows_build(self):
+        # 600 steps: whole chunks and a partial one; weights from a few values, so runs are long
+        rng = np.random.default_rng(4)
+        table = rng.choice([0, 1, 3, 1 << 31], (600, 256))
+        table[::7] = rng.integers(0, 1 << 32, (86, 256))
+        table[:, 9] += 1
+        table[300] = 0
+        table[300, 17] = (1 << 40) - 1  # the largest weight a distribution can hold
+        model = StreamModel(table)
+        assert 600 % STREAM_CHUNK and 600 > 2 * STREAM_CHUNK
+        for step in range(600):
+            got = model.distribution(None, SequencePosition(step, 0, step, 0))
+            want = PixelDistribution(table[step])
+            assert got.total == want.total
+            for field in ("weights", "order", "sorted_weights", "rank", "run_start", "run_w", "run_len"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
+            order = np.argsort(-table[step], kind="stable")
+            assert np.array_equal(want.order, order)
+            assert np.array_equal(want.rank, np.argsort(order))
+            assert np.array_equal(want.sorted_weights, table[step][order])
+            assert runs_of(want.sorted_weights) == list(zip(want.run_start, want.run_w, want.run_len))
+
+    def test_invalid_step_raises_when_asked_for(self):
+        table = np.ones((300, 256), dtype=np.int64)
+        table[280] = 0
+        model = StreamModel(table)
+        for step in range(280):
+            model.distribution(None, SequencePosition(step, 0, step, 0))
+        with pytest.raises(ValueError, match="total 0"):
+            model.distribution(None, SequencePosition(280, 0, 280, 0))
 
     def test_load_rejects_all_zero_step(self):
         table = np.ones((3, 256), dtype=np.int64)
