@@ -28,39 +28,41 @@ def _pad_word(seed: int, block: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass
 class BitString:
-    """Immutable-ish MSB-first bit sequence backed by a big int."""
+    """MSB-first bit sequence: whole bytes in `data`, the last `length % 8` bits pending.
 
-    value: int = 0
-    length: int = 0
+    `append` keeps at most 7 bits in an accumulator and moves every byte they
+    complete to `data`, so its cost does not grow with the length.
+    """
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitString":
-        return cls(int.from_bytes(data, "big"), 8 * len(data))
+    __slots__ = ("data", "length", "_acc")
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.value >> (self.length - 1 - i)) & 1
-
-    def slice(self, offset: int, width: int) -> int:
-        """Integer formed by `width` bits starting at `offset` (must be in range)."""
-        end = offset + width
-        if end > self.length:
-            raise IndexError((offset, width))
-        return (self.value >> (self.length - end)) & ((1 << width) - 1)
+    def __init__(self, data: bytes = b"", length: int | None = None):
+        """The first `length` bits of `data` (all of them by default)."""
+        nbits = 8 * len(data) if length is None else length
+        if not 0 <= nbits <= 8 * len(data):
+            raise ValueError(f"{nbits} bits do not fit {len(data)} bytes")
+        whole, rest = divmod(nbits, 8)
+        self.data = bytearray(data[:whole])
+        self.length = nbits
+        self._acc = data[whole] >> (8 - rest) if rest else 0
 
     def append(self, bits: int, width: int) -> None:
-        self.value = (self.value << width) | (bits & ((1 << width) - 1))
+        """Append the low `width` bits of `bits`, MSB-first."""
+        n = (self.length & 7) + width
+        acc = (self._acc << width) | (bits & ((1 << width) - 1))
         self.length += width
+        if n >= 8:
+            rest = n & 7
+            self.data += (acc >> rest).to_bytes(n >> 3, "big")
+            acc &= (1 << rest) - 1
+        self._acc = acc
 
-    def to_bytes(self) -> bytes:
-        """Pack whole bytes; a trailing partial byte is dropped."""
-        nbytes = self.length // 8
-        if nbytes == 0:
-            return b""
-        return (self.value >> (self.length - 8 * nbytes)).to_bytes(nbytes, "big")
+    def to_bytes(self, fill: bool = False) -> bytes:
+        """The whole bytes; a trailing partial byte is dropped, or zero-filled if `fill`."""
+        if fill and self.length & 7:
+            return bytes(self.data) + bytes([self._acc << (8 - (self.length & 7))])
+        return bytes(self.data)
 
 
 @dataclass
@@ -69,6 +71,7 @@ class BitStream:
 
     Reads past the payload end draw deterministic pseudo-random bits from
     pad_seed, so the same (payload, seed) always yields the same windows.
+    The payload is read once, when the stream is made.
     """
 
     payload: BitString = field(default_factory=BitString)
@@ -78,6 +81,15 @@ class BitStream:
     def __post_init__(self):
         if self.pad_seed is None:
             self.pad_seed = int.from_bytes(os.urandom(8), "big")
+        self._data = self.payload.to_bytes(fill=True)
+        self._nbits = self.payload.length
+
+    def _payload_bits(self, offset: int, width: int) -> int:
+        """`width` <= 64 payload bits at `offset`, MSB-first, from at most 9 bytes."""
+        end = offset + width
+        stop = (end + 7) >> 3
+        word = int.from_bytes(self._data[offset >> 3 : stop], "big")
+        return (word >> (8 * stop - end)) & ((1 << width) - 1)
 
     def _pad_bits(self, k: int, width: int) -> int:
         """`width` <= 64 padding bits starting at padding bit k, MSB-first."""
@@ -92,14 +104,14 @@ class BitStream:
     def window(self, offset: int, width: int) -> int:
         """The `width` bits at `offset`, MSB-first, padded past the payload end."""
         assert width <= 64
-        n = self.payload.length
+        n = self._nbits
         if offset + width <= n:
-            return self.payload.slice(offset, width)
+            return self._payload_bits(offset, width)
         if offset >= n:
             return self._pad_bits(offset - n, width)
         head = n - offset
         pad = width - head
-        return (self.payload.slice(offset, head) << pad) | self._pad_bits(0, pad)
+        return (self._payload_bits(offset, head) << pad) | self._pad_bits(0, pad)
 
     def advance(self, s: int) -> None:
         assert s >= 0
@@ -111,24 +123,25 @@ def frame_encode(payload: bytes) -> BitString:
     nbits = 8 * len(payload)
     if len(payload) > MAX_PAYLOAD_BYTES or nbits >= (1 << HEADER_BITS):
         raise OversizePayload(f"{len(payload)} bytes do not fit a 32-bit bit count")
-    out = BitString(nbits, HEADER_BITS)
-    out.append(int.from_bytes(payload, "big"), nbits)
-    return out
+    return BitString(nbits.to_bytes(HEADER_BITS // 8, "big") + payload)
 
 
 def frame_decode(bits: BitString) -> bytes:
     """Parse the length header and return exactly that many payload bits as bytes.
 
-    Trailing bits beyond the framed payload are discarded.
+    Trailing bits beyond the framed payload are discarded. The header keeps the
+    payload byte-aligned, so it is a slice of the recovered bytes.
     """
     if bits.length < HEADER_BITS:
         raise TruncatedStream(f"need {HEADER_BITS} header bits, have {bits.length}")
-    nbits = bits.slice(0, HEADER_BITS)
-    if bits.length < HEADER_BITS + nbits:
+    data = bits.to_bytes(fill=True)
+    nbits = int.from_bytes(data[: HEADER_BITS // 8], "big")
+    end = HEADER_BITS + nbits
+    if bits.length < end:
         raise TruncatedStream(
             f"header promises {nbits} payload bits, only {bits.length - HEADER_BITS} present"
         )
-    body = BitString(bits.slice(HEADER_BITS, nbits), nbits)
-    if nbits % 8:
-        body.append(0, 8 - nbits % 8)  # malformed foreign header; zero-fill
-    return body.to_bytes()
+    body = bytearray(data[HEADER_BITS // 8 : (end + 7) // 8])
+    if nbits % 8:  # malformed foreign header; zero-fill
+        body[-1] &= (0xFF << (8 - nbits % 8)) & 0xFF
+    return bytes(body)

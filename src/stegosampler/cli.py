@@ -204,7 +204,7 @@ def run_selftest() -> tuple[bool, str]:
     # subinterval [14,15], confirms 0111, renormalizes to the full interval
     dist = models.PixelDistribution(_golden_weights())
     state = coder.CoderState(prc=5)
-    msg = bitio.BitStream(bitio.BitString(0b01111, 5), pad_seed=0)
+    msg = bitio.BitStream(bitio.BitString(b"\x78", 5), pad_seed=0)
     rec = coder.embed_step(state, dist, msg)
     if (rec.pixel_value, rec.bits_confirmed, state.low, state.high) != (4, 4, 0, 31):
         return False, "golden-step"

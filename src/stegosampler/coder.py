@@ -177,7 +177,7 @@ def embed_image(
     collect: bool = True,
 ) -> tuple[ImageGrid, EmbedReport]:
     _check_run(model, channels, prc)
-    bits = frame_encode(message) if framed else BitString.from_bytes(message)
+    bits = frame_encode(message) if framed else BitString(message)
     msg = BitStream(bits, pad_seed)
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
@@ -239,7 +239,7 @@ def lsb_embed(
     max_retries: int = 64,
 ) -> ImageGrid:
     """Rejection-sampling baseline: resample until the LSB matches the next bit."""
-    msg = BitStream(BitString.from_bytes(message), pad_seed)
+    msg = BitStream(BitString(message), pad_seed)
     rng = random.Random(rng_seed)
     grid = ImageGrid.blank(width, height, channels)
     for pos in sequence_positions(width, height, channels):

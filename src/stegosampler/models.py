@@ -64,6 +64,10 @@ class PixelDistribution:
         w = np.asarray(weights, dtype=np.int64)
         if sorted_row is None:
             (sorted_row,) = _sort_rows(w[None])
+            if sorted_row is None:
+                if w.min() < 0:
+                    raise ValueError("weights must be non-negative")
+                raise ValueError(f"total {int(w.sum())} outside (0, 2^40)")
         self.weights = w
         (self.total, self.order, self.sorted_weights, self.rank,
          self.run_start, self.run_w, self.run_len) = sorted_row
@@ -76,21 +80,14 @@ class PixelDistribution:
         return self._h_bits
 
 
-def _sort_rows(w: np.ndarray) -> list[tuple]:
-    """(total, order, sorted_weights, rank, run_start, run_w, run_len) of the rows of an int64
-    (n, 256) weight table, sorted in one pass. Rows from the first invalid one on are left
-    out; an invalid first row raises as a PixelDistribution of it would."""
+def _sort_rows(w: np.ndarray) -> list[tuple | None]:
+    """(total, order, sorted_weights, rank, run_start, run_w, run_len) of each row of an int64
+    (n, 256) weight table, sorted in one pass; None for a row that is no distribution (a
+    negative weight, or a total outside (0, 2^40)), whose sorted arrays are meaningless."""
     if w.ndim != 2 or w.shape[1] != 256:
         raise ValueError("need exactly 256 weights")
     totals = w.sum(axis=1)
-    negative = w.min(axis=1) < 0
-    bad = negative | (totals <= 0) | (totals >= WEIGHT_TOTAL_LIMIT)
-    if bad[:1].any():
-        if negative[0]:
-            raise ValueError("weights must be non-negative")
-        raise ValueError(f"total {int(totals[0])} outside (0, 2^40)")
-    if bad.any():
-        w = w[: bad.argmax()]
+    valid = (w.min(axis=1) >= 0) & (totals > 0) & (totals < WEIGHT_TOTAL_LIMIT)
     # symbols sorted by weight descending, ties by ascending value: every weight is below
     # 2^40, so one sort of (weight << 8 | 255 - value) keys, read backwards, gives both
     key = np.sort(w << 8 | np.arange(255, -1, -1), axis=1)[:, ::-1]
@@ -111,8 +108,16 @@ def _sort_rows(w: np.ndarray) -> list[tuple]:
     run_len = run_start[:, 1:] - run_start[:, :-1]
     return [
         (total, order[i], sw[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r])
-        for i, (total, r) in enumerate(zip(totals.tolist(), runs.tolist()))
+        if ok else None
+        for i, (total, r, ok) in enumerate(zip(totals.tolist(), runs.tolist(), valid.tolist()))
     ]
+
+
+def _distributions(w: np.ndarray) -> list[PixelDistribution | None]:
+    """A PixelDistribution per row of an int64 (n, 256) weight table, sorted in one pass;
+    None for a row that is no distribution, which PixelDistribution(row) raises on."""
+    rows = _sort_rows(w)
+    return [None if row is None else PixelDistribution(w[i], row) for i, row in enumerate(rows)]
 
 
 def shannon_bits(p: np.ndarray) -> float:
@@ -173,9 +178,10 @@ class StreamModel:
                 raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
             self._chunk = []  # the old chunk goes before the next is built
             w = np.asarray(self.table[pos.index : pos.index + STREAM_CHUNK], dtype=np.int64)
-            self._chunk = [PixelDistribution(w[i], row) for i, row in enumerate(_sort_rows(w))]
+            self._chunk = _distributions(w)
             self._first, i = pos.index, 0
-        return self._chunk[i]
+        # a step whose weights are no distribution raises only when asked for
+        return self._chunk[i] or PixelDistribution(self.table[pos.index])
 
 
 def _bucket(value: int, buckets: int) -> int:
@@ -205,7 +211,8 @@ class ContextModel:
         else:
             counts = np.asarray(counts, dtype=np.uint64).reshape(shape)
         self.counts = counts
-        self._cache: dict[tuple[int, int, int], PixelDistribution] = {}
+        self._dists: dict[tuple[int, int, int], PixelDistribution | None] | None = None
+        self._unseen: PixelDistribution | None = None
 
     def context_of(self, prefix: ImageGrid, pos: SequencePosition) -> tuple[int, int, int]:
         B = self.buckets
@@ -214,12 +221,24 @@ class ContextModel:
         return pos.channel, left, up
 
     def distribution(self, prefix: ImageGrid, pos: SequencePosition) -> PixelDistribution:
+        if self._dists is None:
+            self._sort_contexts()
         key = self.context_of(prefix, pos)
-        d = self._cache.get(key)
-        if d is None:
-            d = PixelDistribution(self.counts[key].astype(np.int64) + self.smooth)
-            self._cache[key] = d
-        return d
+        # a context whose weights are no distribution raises only when asked for
+        d = self._dists.get(key, self._unseen)
+        return d or PixelDistribution(self.counts[key].astype(np.int64) + self.smooth)
+
+    def _sort_contexts(self) -> None:
+        """Build the distribution of every context in one sorting pass. Contexts the corpus
+        never saw all weigh `smooth` everywhere and share one distribution, so the pass
+        grows with the contexts seen, not with the (B+1)^2 table."""
+        counts = self.counts.reshape(-1, 256)
+        seen = np.flatnonzero(counts.any(axis=1))
+        w = np.zeros((len(seen) + 1, 256), dtype=np.int64)  # the last row: an unseen context
+        w[:-1] = counts[seen]
+        *dists, self._unseen = _distributions(w + self.smooth)
+        keys = zip(*(i.tolist() for i in np.unravel_index(seen, self.counts.shape[:3])))
+        self._dists = dict(zip(keys, dists))
 
 
 def train_context_model(

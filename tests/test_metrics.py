@@ -232,7 +232,7 @@ class TestSteps:
     @pytest.mark.parametrize("prc", [8, 26, 62])
     def test_rows_are_the_records_embed_step_returns(self, prc):
         _, rep = embed(collect=True, prc=prc)
-        state, msg = CoderState(prc), BitStream(BitString.from_bytes(b"\x5a\xc3"), 9)
+        state, msg = CoderState(prc), BitStream(BitString(b"\x5a\xc3"), 9)
         grid = ImageGrid.blank(W, H, 1)
         records, dists = [], []
         for pos in sequence_positions(W, H, 1):

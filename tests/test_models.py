@@ -37,6 +37,17 @@ def gray(rows):
 POS0 = SequencePosition(0, 0, 0, 0)
 
 
+def context_query(left: int, up: int, buckets: int):
+    """(prefix, pos) whose gray context is (left, up); bucket index `buckets` is the edge."""
+    prefix = gray([[0, 0], [0, 0]])
+    row, col = int(up != buckets), int(left != buckets)
+    if left != buckets:
+        prefix.data[2 * row] = (left * 256 + buckets - 1) // buckets
+    if up != buckets:
+        prefix.data[col] = (up * 256 + buckets - 1) // buckets
+    return prefix, SequencePosition(2 * row + col, row, col, 0)
+
+
 class TestDistribution:
     def test_uniform(self):
         d = UniformModel().distribution(None, POS0)
@@ -83,6 +94,31 @@ class TestTraining:
         imgs = [gray([[0]]), ImageGrid(1, 1, 3, bytearray(3))]
         with pytest.raises(MixedChannelCorpus):
             train_context_model(imgs)
+
+    def test_contexts_built_at_once_match_single_rows(self):
+        model = train_context_model([gray([[1, 200], [30, 4]]), gray([[255, 0], [9, 9]])], smooth=3)
+        model.counts[0, 2, 5] = 0
+        model.counts[0, 2, 5, 9] = (1 << 40) - 1 - 256 * 3  # the largest total a context can hold
+        B = model.buckets
+        for left in range(B + 1):
+            for up in range(B + 1):
+                query = context_query(left, up, B)
+                assert model.context_of(*query) == (0, left, up)
+                got = model.distribution(*query)
+                want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
+                for field in ("weights", "total", "order", "sorted_weights", "rank", "run_start"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
+
+    def test_invalid_context_raises_when_asked_for(self):
+        model = train_context_model([gray([[0, 0], [0, 0]])], smooth=0)
+        B = model.buckets
+        model.counts[0, 3, 3, 7] = 1 << 40
+        assert model.distribution(*context_query(B, B, B)).total == 1  # (EDGE, EDGE) was seen
+        with pytest.raises(ValueError, match="total 0"):
+            model.distribution(*context_query(1, 1, B))  # never seen, smooth 0
+        with pytest.raises(ValueError, match=r"total 1099511627776 outside"):
+            model.distribution(*context_query(3, 3, B))
+        assert model.distribution(*context_query(0, 0, B)).total == 1
 
     def test_duplication_doubles_counts(self):
         imgs = [gray([[1, 200], [30, 4]]), gray([[255, 0], [9, 9]])]
