@@ -71,7 +71,8 @@ class BitStream:
 
     Reads past the payload end draw deterministic pseudo-random bits from
     pad_seed, so the same (payload, seed) always yields the same windows.
-    The payload is read once, when the stream is made.
+    The payload is copied once, when the stream is made, into a buffer that
+    the padding words then extend, 64 bits at a time, as reads reach them.
     """
 
     payload: BitString = field(default_factory=BitString)
@@ -81,40 +82,23 @@ class BitStream:
     def __post_init__(self):
         if self.pad_seed is None:
             self.pad_seed = int.from_bytes(os.urandom(8), "big")
-        self._data = self.payload.to_bytes(fill=True)
-        self._nbits = self.payload.length
-
-    def _payload_bits(self, offset: int, width: int) -> int:
-        """`width` <= 64 payload bits at `offset`, MSB-first, from at most 9 bytes."""
-        end = offset + width
-        stop = (end + 7) >> 3
-        word = int.from_bytes(self._data[offset >> 3 : stop], "big")
-        return (word >> (8 * stop - end)) & ((1 << width) - 1)
-
-    def _pad_bits(self, k: int, width: int) -> int:
-        """`width` <= 64 padding bits starting at padding bit k, MSB-first."""
-        block = k >> 6
-        bits = _pad_word(self.pad_seed, block)
-        avail = 64 - (k & 63)  # bits of `bits` from padding bit k to its end
-        if width > avail:
-            bits = (bits << 64) | _pad_word(self.pad_seed, block + 1)
-            avail += 64
-        return (bits >> (avail - width)) & ((1 << width) - 1)
+        self._buf = BitString(self.payload.to_bytes(fill=True), self.payload.length)
+        self._pad_blocks = 0
 
     def window(self, offset: int, width: int) -> int:
         """The `width` bits at `offset`, MSB-first, padded past the payload end."""
-        assert width <= 64
-        n = self._nbits
-        if offset + width <= n:
-            return self._payload_bits(offset, width)
-        if offset >= n:
-            return self._pad_bits(offset - n, width)
-        head = n - offset
-        pad = width - head
-        return (self._payload_bits(offset, head) << pad) | self._pad_bits(0, pad)
+        end = offset + width
+        buf = self._buf
+        while len(buf.data) << 3 < end:  # windows read whole bytes: pending bits wait
+            buf.append(_pad_word(self.pad_seed, self._pad_blocks), 64)
+            self._pad_blocks += 1
+        stop = (end + 7) >> 3
+        word = int.from_bytes(buf.data[offset >> 3 : stop], "big")
+        return (word >> ((stop << 3) - end)) & ((1 << width) - 1)
 
     def advance(self, s: int) -> None:
-        assert s >= 0
+        if s < 0:
+            raise ValueError(f"cannot advance by {s} bits")
         self.confirmed_ptr += s
 
 

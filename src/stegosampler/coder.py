@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,27 +65,39 @@ class CoderState:
             raise BrokenInvariant(f"interval [{self.low}, {self.high}] at prc {self.prc}")
 
 
-@dataclass
-class QuantizedPartition:
+class QuantizedPartition(NamedTuple):
     """Integer tiling of the current interval, most probable symbols first.
 
     The distribution's runs of equal weight tile it in rank order: each
-    symbol of run r gets f[r] units, so the run spans bounds[r] up to
-    bounds[r + 1]. Run 0 is rank 0 alone, and f[0] includes the rounding
-    deficit; bounds[0] = 0 and bounds[-1] = width always.
+    symbol of run r gets width * run_w[r] // total units, and ends[r] is where
+    run r ends before the rounding deficit. The deficit widens rank 0, alone
+    in run 0, so run 0 spans [0, ends[0] + deficit) and run r > 0 spans
+    bounds[r] = ends[r - 1] + deficit up to ends[r] + deficit.
     """
 
     order: np.ndarray  # permutation of 0..255, weight-descending, ties by value
     run_start: np.ndarray  # first rank of each run, then 256
-    f: np.ndarray  # units per symbol of each run
-    bounds: list[int]
+    ends: list[int]  # end of each run before the deficit; ends[-1] + deficit = width
     width: int
+
+    @property
+    def deficit(self) -> int:
+        return self.width - self.ends[-1]
+
+    @property
+    def bounds(self) -> list[int]:  # start of each run, then width
+        return [0, *(e + self.deficit for e in self.ends)]
 
     @property
     def cut(self) -> list[int]:
         """Boundaries of the symbols with nonzero width, in rank order (the tail of
         the sorted order is empty); cut[0] = 0 and cut[-1] = width."""
-        ws = np.repeat(self.f, np.diff(self.run_start))
+        run_len = self.run_start[1:] - self.run_start[:-1]
+        f = np.array(self.ends)
+        f[1:] = f[1:] - f[:-1]  # the span of each run before the deficit
+        f //= run_len  # units per symbol of each run
+        f[0] += self.deficit
+        ws = np.repeat(f, run_len)
         return [0, *ws[: np.count_nonzero(ws)].cumsum().tolist()]
 
 
@@ -96,15 +109,11 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     """
     width = state.width
     rw = dist.run_w
-    if width.bit_length() + int(rw[0]).bit_length() > 63:
+    if width.bit_length() + dist.w_bits > 63:
         # products could overflow int64 (high prc, totals near 2^40): exact Python ints
         rw = rw.astype(object)
-    f = width * rw // dist.total
-    bounds = (f * dist.run_len).cumsum()
-    deficit = width - bounds[-1]
-    f[0] += deficit  # widens rank 0, alone in run 0
-    bounds += deficit
-    return QuantizedPartition(dist.order, dist.run_start, f, [0, *bounds.tolist()], width)
+    ends = (width * rw // dist.total * dist.run_len).cumsum().tolist()
+    return QuantizedPartition(dist.order, dist.run_start, ends, width)
 
 
 def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
@@ -122,30 +131,35 @@ def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
     return s, prefix
 
 
+def _run_cell(dist: PixelDistribution, ends: list[int], deficit: int, r: int) -> tuple[int, int]:
+    """(start, units per symbol) of run r: run 0 starts at 0, run r > 0 at ends[r - 1] + deficit."""
+    start = ends[r - 1] + deficit if r else 0
+    return start, (ends[r] + deficit - start) // int(dist.run_len[r])
+
+
 def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
-    partition = quantize(dist, state)
-    bounds = partition.bounds
+    width = state.width
+    ends = quantize(dist, state).ends
+    deficit = width - ends[-1]
     x = msg.window(msg.confirmed_ptr, state.prc) - state.low
-    r = bisect_right(bounds, x) - 1  # the run, then the symbol within it
-    q_width = int(partition.f[r])
-    i = (x - bounds[r]) // q_width
-    s, _ = _apply(state, bounds[r] + i * q_width, q_width)
-    msg.advance(s)
-    pixel = partition.order[int(partition.run_start[r]) + i]
-    return StepRecord(int(pixel), s, q_width, partition.width)
+    r = bisect_right(ends, x - deficit)  # the run, then the symbol within it
+    start, q_width = _run_cell(dist, ends, deficit, r)
+    i = (x - start) // q_width
+    s, _ = _apply(state, start + i * q_width, q_width)
+    msg.confirmed_ptr += s
+    return StepRecord(int(dist.order[int(dist.run_start[r]) + i]), s, q_width, width)
 
 
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
-    partition = quantize(dist, state)
+    ends = quantize(dist, state).ends
     k = int(dist.rank[pixel])
-    r = bisect_right(partition.run_start, k) - 1
-    q_width = int(partition.f[r])
+    r = bisect_right(dist.run_start, k) - 1
+    start, q_width = _run_cell(dist, ends, state.width - ends[-1], r)
     if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")
-    offset = partition.bounds[r] + (k - int(partition.run_start[r])) * q_width
-    s, prefix = _apply(state, offset, q_width)
+    s, prefix = _apply(state, start + (k - int(dist.run_start[r])) * q_width, q_width)
     return prefix, s
 
 

@@ -11,6 +11,8 @@ import numpy as np
 from .models import PixelDistribution, shannon_bits
 from .pnm import ImageGrid
 
+INT64_MAX = np.iinfo(np.int64).max
+
 
 class AbsoluteContinuityViolated(ValueError):
     """q places mass on a symbol p gives zero weight; KLD would be infinite."""
@@ -45,8 +47,8 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
         mult[j, : len(d.run_len)] = d.run_len
     vals, mult, total = vals[row], mult[row], np.array([d.total for d in uniq])[row]
     w = np.asarray(width_before, dtype=np.int64)
-    # the overflow guard of quantize: rows past it wrap around in int64, so redo them exactly
-    big = np.array([int(a).bit_length() + int(b).bit_length() > 63 for a, b in zip(w, vals[:, 0])])
+    # rows whose largest product w * run_w[0] passes int64 would wrap around: redo them exactly
+    big = vals[:, 0] > INT64_MAX // w
     ws = vals * w[:, None] // total[:, None]
     ws[big] = vals[big].astype(object) * w[big, None] // total[big, None]
     ws[:, 0] += w - (ws * mult).sum(axis=1)

@@ -52,11 +52,12 @@ class PixelDistribution:
     coder and the stats work over: run r holds ranks run_start[r] up to
     run_start[r + 1], each of weight run_w[r]. Rank 0, which takes the
     rounding deficit, is always a run of its own, and run_start ends with 256.
+    w_bits is the bit length of the largest weight, run_w[0].
     """
 
     __slots__ = (
         "weights", "total", "order", "sorted_weights", "rank",
-        "run_start", "run_w", "run_len", "_h_bits",
+        "run_start", "run_w", "run_len", "w_bits", "_h_bits",
     )
 
     def __init__(self, weights, sorted_row=None):
@@ -70,7 +71,7 @@ class PixelDistribution:
                 raise ValueError(f"total {int(w.sum())} outside (0, 2^40)")
         self.weights = w
         (self.total, self.order, self.sorted_weights, self.rank,
-         self.run_start, self.run_w, self.run_len) = sorted_row
+         self.run_start, self.run_w, self.run_len, self.w_bits) = sorted_row
         self._h_bits = None
 
     @property
@@ -81,9 +82,9 @@ class PixelDistribution:
 
 
 def _sort_rows(w: np.ndarray) -> list[tuple | None]:
-    """(total, order, sorted_weights, rank, run_start, run_w, run_len) of each row of an int64
-    (n, 256) weight table, sorted in one pass; None for a row that is no distribution (a
-    negative weight, or a total outside (0, 2^40)), whose sorted arrays are meaningless."""
+    """(total, order, sorted_weights, rank, run_start, run_w, run_len, w_bits) of each row of
+    an int64 (n, 256) weight table, sorted in one pass; None for a row that is no distribution
+    (a negative weight, or a total outside (0, 2^40)), whose sorted arrays are meaningless."""
     if w.ndim != 2 or w.shape[1] != 256:
         raise ValueError("need exactly 256 weights")
     totals = w.sum(axis=1)
@@ -106,8 +107,10 @@ def _sort_rows(w: np.ndarray) -> list[tuple | None]:
     run_start.sort(axis=1)  # a row's run starts, then 256 to the end of the row
     run_w = sw[rows, run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
     run_len = run_start[:, 1:] - run_start[:, :-1]
+    top = sw[:, 0].tolist()
     return [
-        (total, order[i], sw[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r])
+        (total, order[i], sw[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r],
+         top[i].bit_length())
         if ok else None
         for i, (total, r, ok) in enumerate(zip(totals.tolist(), runs.tolist(), valid.tolist()))
     ]
@@ -184,10 +187,6 @@ class StreamModel:
         return self._chunk[i] or PixelDistribution(self.table[pos.index])
 
 
-def _bucket(value: int, buckets: int) -> int:
-    return (value * buckets) >> 8
-
-
 class ContextModel:
     """Causal count model over (same-channel left, up) neighbors, bucketed.
 
@@ -215,9 +214,11 @@ class ContextModel:
         self._unseen: PixelDistribution | None = None
 
     def context_of(self, prefix: ImageGrid, pos: SequencePosition) -> tuple[int, int, int]:
+        """(channel, left, up): the bucketed same-channel neighbours, read from the flat raster."""
         B = self.buckets
-        left = B if pos.col == 0 else _bucket(prefix.at(pos.row, pos.col - 1, pos.channel), B)
-        up = B if pos.row == 0 else _bucket(prefix.at(pos.row - 1, pos.col, pos.channel), B)
+        i, data = pos.index, prefix.data
+        left = B if pos.col == 0 else data[i - prefix.channels] * B >> 8
+        up = B if pos.row == 0 else data[i - prefix.width * prefix.channels] * B >> 8
         return pos.channel, left, up
 
     def distribution(self, prefix: ImageGrid, pos: SequencePosition) -> PixelDistribution:

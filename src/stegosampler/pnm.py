@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class BadMagic(ValueError):
@@ -54,8 +54,7 @@ class ImageGrid:
         return self.data[(row * self.width + col) * self.channels + channel]
 
 
-@dataclass(frozen=True)
-class SequencePosition:
+class SequencePosition(NamedTuple):
     """One coding step: subpixel index plus its raster coordinates."""
 
     index: int

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stegosampler.bitio import (
     HEADER_BITS,
@@ -68,6 +68,15 @@ class TestAdvance:
         s.advance(3)
         s.advance(5)
         assert s.confirmed_ptr == 8
+
+    def test_negative_raises(self):
+        # a real exception, not an assert, so that it also holds under python -O
+        s = stream("0000")
+        s.advance(2)
+        with pytest.raises(ValueError, match="-1"):
+            s.advance(-1)
+        if s.confirmed_ptr != 2:
+            pytest.fail(f"pointer moved to {s.confirmed_ptr}")
 
 
 class TestFraming:
@@ -156,17 +165,36 @@ def payload_bits(draw):
     return data, draw(st.integers(0, 8 * len(data)))
 
 
-@given(payload_bits(), st.integers(0, 64), st.integers(-80, 80), st.integers(0, 2**64 - 1))
-def test_window_matches_per_bit_oracle(payload, width, shift, seed):
-    """Offsets land near the payload end, so windows straddle payload and padding."""
-    data, n = payload
-    offset = max(0, n - width + shift)
-    s = BitStream(BitString(data, n), seed)
+def oracle_window(data: bytes, n: int, seed: int, offset: int, width: int) -> int:
+    """The window bit by bit: payload bits below n, padding bit j - n from n on."""
     expect = 0
     for j in range(offset, offset + width):
         bit = (data[j // 8] >> (7 - j % 8)) & 1 if j < n else pad_bit(seed, j - n)
         expect = (expect << 1) | bit
-    assert s.window(offset, width) == expect
+    return expect
+
+
+@given(payload_bits(), st.integers(0, 128), st.integers(-150, 150), st.integers(0, 2**64 - 1))
+@example((b"\xa5" * 3, 21), 128, -3, 99).via("payload and two padding words, 128 bits")
+def test_window_matches_per_bit_oracle(payload, width, shift, seed):
+    """Offsets land near the payload end, so windows straddle payload and padding; widths
+    past 64 span more than one padding word."""
+    data, n = payload
+    offset = max(0, n - width + shift)
+    s = BitStream(BitString(data, n), seed)
+    assert s.window(offset, width) == oracle_window(data, n, seed, offset, width)
+
+
+@given(payload_bits(), st.lists(st.integers(0, 40), max_size=60), st.integers(1, 128))
+def test_padding_grows_with_the_reads(payload, steps, width):
+    """Read monotonically to offset N, the buffer's whole bytes, which windows read, end at most
+    width + 64 bits past N."""
+    data, n = payload
+    s, offset = BitStream(BitString(data, n), 5), 0
+    for step in steps:
+        offset += step
+        assert s.window(offset, width) == oracle_window(data, n, 5, offset, width)
+        assert 8 * len(s._buf.data) <= max(n, offset + width + 64)
 
 
 @given(st.lists(st.tuples(st.integers(0, 64), st.integers(-(2**80), 2**80)), max_size=40))

@@ -260,8 +260,8 @@ class TestSelftest:
 
         def skewed(dist, state):
             part = real(dist, state)
-            if len(part.bounds) > 2:  # nudge one boundary
-                part.bounds[1] += 1
+            if len(part.ends) > 1:  # nudge one boundary: the end of run 0 that embed bisects
+                part.ends[0] += 1
             return part
 
         monkeypatch.setattr(coder, "quantize", skewed)

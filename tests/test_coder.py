@@ -311,6 +311,26 @@ def clone(state):
 
 
 @settings(max_examples=150, deadline=None)
+@given(run_weights(), scaled_registers())
+# one run of 255 equal symbols behind rank 0, on the int64 side of the guard
+@example([5] * 256, (26, 0, (1 << 26) - 1)).via("int64 path")
+# past the guard, with a tail of zero weights: 62-bit interval, 32-bit weights
+@example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("fallback")
+def test_derived_bounds_and_cut_match_the_oracle(weights, register):
+    """`bounds` and `cut`, derived from the run ends, are the per-symbol oracle's tiling."""
+    prc, low, high = register
+    dist = PixelDistribution(weights)
+    part = quantize(dist, CoderState(prc, low=low, high=high))
+    order, cut = quantize_oracle(weights, low, high)
+    assert (part.order.tolist(), part.cut) == (order, cut)
+    assert all(type(c) is int for c in part.cut)
+    # the oracle's boundary before each rank; ranks past its nonzero widths sit at width
+    before = cut + [cut[-1]] * (257 - len(cut))
+    assert part.bounds == [before[k] for k in dist.run_start.tolist()]
+    assert part.ends[-1] + part.deficit == part.width == high - low + 1
+
+
+@settings(max_examples=150, deadline=None)
 @given(run_weights(), scaled_registers(), st.integers(0, 2**64 - 1))
 # one run of 255 equal symbols behind rank 0, on the int64 side of the guard
 @example([5] * 256, (26, 0, (1 << 26) - 1), 12345).via("int64 path")

@@ -39,12 +39,12 @@ def dist(**mass):
 
 def partition(widths_by_symbol):
     """Hand-built partition: {symbol: width} in rank order, each symbol a run of its own
-    and the other symbols one run of width 0."""
+    and the other symbols one run of width 0, with no rounding deficit."""
     order = np.array(list(widths_by_symbol) + [v for v in range(256) if v not in widths_by_symbol])
     widths = list(widths_by_symbol.values())
     run_start = np.array([*range(len(widths)), len(widths), 256])
-    bounds = [0, *np.cumsum(widths).tolist(), sum(widths)]
-    return QuantizedPartition(order, run_start, np.array([*widths, 0]), bounds, bounds[-1])
+    ends = [*np.cumsum(widths).tolist(), sum(widths)]
+    return QuantizedPartition(order, run_start, ends, ends[-1])
 
 
 class TestEntropy:
