@@ -14,7 +14,7 @@ from .coder import (
     lsb_extract,
     quantize,
 )
-from .metrics import EmbedReport, aggregate, entropy, heatmaps, step_stats
+from .metrics import EmbedReport, aggregate, heatmaps, step_stats
 from .models import (
     ContextModel,
     DegenerateModel,

@@ -48,7 +48,6 @@ class CoderState:
     prc: int = DEFAULT_PRC
     low: int = 0
     high: int = -1  # filled to 2^prc - 1
-    confirmed: int = 0
 
     def __post_init__(self):
         if not 2 <= self.prc <= 64:
@@ -70,23 +69,15 @@ class QuantizedPartition(NamedTuple):
 
     The distribution's runs of equal weight tile it in rank order: each
     symbol of run r gets width * run_w[r] // total units, and ends[r] is where
-    run r ends before the rounding deficit. The deficit widens rank 0, alone
-    in run 0, so run 0 spans [0, ends[0] + deficit) and run r > 0 spans
-    bounds[r] = ends[r - 1] + deficit up to ends[r] + deficit.
+    run r ends before the rounding deficit, width - ends[-1]. The deficit widens
+    rank 0, alone in run 0, so run 0 spans [0, ends[0] + deficit) and run r > 0
+    spans ends[r - 1] + deficit up to ends[r] + deficit.
     """
 
     order: np.ndarray  # permutation of 0..255, weight-descending, ties by value
     run_start: np.ndarray  # first rank of each run, then 256
     ends: list[int]  # end of each run before the deficit; ends[-1] + deficit = width
     width: int
-
-    @property
-    def deficit(self) -> int:
-        return self.width - self.ends[-1]
-
-    @property
-    def bounds(self) -> list[int]:  # start of each run, then width
-        return [0, *(e + self.deficit for e in self.ends)]
 
     @property
     def cut(self) -> list[int]:
@@ -96,7 +87,7 @@ class QuantizedPartition(NamedTuple):
         f = np.array(self.ends)
         f[1:] = f[1:] - f[:-1]  # the span of each run before the deficit
         f //= run_len  # units per symbol of each run
-        f[0] += self.deficit
+        f[0] += self.width - self.ends[-1]  # the deficit
         ws = np.repeat(f, run_len)
         return [0, *ws[: np.count_nonzero(ws)].cumsum().tolist()]
 
@@ -127,7 +118,6 @@ def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
     mask = (1 << state.prc) - 1
     state.low = (low1 << s) & mask
     state.high = ((high1 << s) & mask) | ((1 << s) - 1)
-    state.confirmed += s
     return s, prefix
 
 
@@ -212,9 +202,9 @@ def embed_image(
     except StreamExhausted as e:
         raise _located(e, pos, prc) from None
     state.check()
-    if framed and state.confirmed < bits.length:
+    if framed and msg.confirmed_ptr < bits.length:
         raise CapacityExceeded(
-            f"image confirmed {state.confirmed} of {bits.length} framed bits "
+            f"image confirmed {msg.confirmed_ptr} of {bits.length} framed bits "
             f"at prc {prc}, final interval [{state.low}, {state.high}]"
         )
     return grid, EmbedReport(width, height, channels, prc, steps)

@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .models import PixelDistribution, shannon_bits
-from .pnm import ImageGrid
+from .models import PixelDistribution
+from .pnm import ImageGrid, write_bytes
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -22,20 +23,13 @@ class ShapeMismatch(ValueError):
     pass
 
 
-def entropy(obj) -> float:
-    """Shannon entropy in bits of a distribution or a quantized partition."""
-    if isinstance(obj, PixelDistribution):
-        return obj.entropy_bits
-    return shannon_bits(np.diff(obj.cut) / obj.width)
-
-
 def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> np.ndarray:
     """(H(p), H(q), D_KL(q||p), D_JS(q||p)) in bits per step of a chunk, as an (n, 4) array.
 
     Step k's q is what `quantize` makes of dists[k] over width_before[k] units.
-    Each distinct distribution (by identity) is read once, and the ranks of
-    each of its runs of equal weight, which get equal q and p, are summed as
-    one cell.
+    Each distinct distribution (by identity) is read once, and its H(p) is
+    computed once; the ranks of each of its runs of equal weight, which get
+    equal q and p, are summed as one cell.
     """
     _, first, row = np.unique([id(d) for d in dists], return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]
@@ -45,7 +39,10 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     for j, d in enumerate(uniq):
         vals[j, : len(d.run_w)] = d.run_w
         mult[j, : len(d.run_len)] = d.run_len
-    vals, mult, total = vals[row], mult[row], np.array([d.total for d in uniq])[row]
+    total = np.array([d.total for d in uniq])
+    p = vals / total[:, None]
+    h_p = -(mult * p * np.log2(p, out=np.zeros_like(p), where=vals > 0)).sum(axis=1)
+    vals, mult, total, p = vals[row], mult[row], total[row], p[row]
     w = np.asarray(width_before, dtype=np.int64)
     # rows whose largest product w * run_w[0] passes int64 would wrap around: redo them exactly
     big = vals[:, 0] > INT64_MAX // w
@@ -53,11 +50,11 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     ws[big] = vals[big].astype(object) * w[big, None] // total[big, None]
     ws[:, 0] += w - (ws * mult).sum(axis=1)
     m = np.count_nonzero(ws, axis=1).max()  # nonzero widths are a prefix of each row
-    ws, mult, vals = ws[:, :m], mult[:, :m], vals[:, :m]
+    ws, mult, vals, p = ws[:, :m], mult[:, :m], vals[:, :m], p[:, :m]
     nz = ws > 0
     if (nz & (vals == 0)).any():
         raise AbsoluteContinuityViolated("quantized mass on a zero-weight symbol")
-    q, p = ws / w[:, None], vals / total[:, None]
+    q = ws / w[:, None]
     ratio = np.divide(q, p, out=np.ones_like(q), where=nz)  # 1 where q = 0
     h_q = -(mult * q * np.log2(q, out=np.zeros_like(q), where=nz)).sum(axis=1)
     kld = (mult * q * np.log2(ratio)).sum(axis=1)
@@ -65,8 +62,7 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     # q = 0, and there p·log2(p/m) is exactly p, summed as the mass of p outside q.
     outside = (total - np.where(nz, vals * mult, 0).sum(axis=1)) / total
     jsd = 0.5 * (kld - (mult * (p + q) * np.log2(0.5 + 0.5 * ratio)).sum(axis=1) + outside)
-    h_p = np.array([d.entropy_bits for d in uniq])[row]
-    return np.column_stack([h_p, h_q, kld, jsd])
+    return np.column_stack([h_p[row], h_q, kld, jsd])
 
 
 class StepRecord(NamedTuple):
@@ -159,11 +155,9 @@ def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> dic
     rows = [CSV_HEADER, *detail]
     for i, label in enumerate(("mean", "std")):
         rows.append([label, "", ""] + [summary[k][i] for k in CSV_HEADER[3:]])
-    if hasattr(sink, "write"):
-        csv.writer(sink).writerows(rows)
-    else:
-        with open(sink, "w", newline="") as f:
-            csv.writer(f).writerows(rows)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_bytes(text.getvalue().encode(), sink)
     return summary
 
 

@@ -13,7 +13,8 @@ WEIGHT_TOTAL_LIMIT = 1 << 40  # headroom for interval multiplication at prc <= 6
 
 MODEL_MAGIC = b"PSCM"
 STREAM_MAGIC = b"PSDS"
-EDGE = -1  # out-of-image neighbor sentinel (stored as bucket index B)
+MODEL_HEADER = "<HBBI"  # version, channels, buckets, smooth
+STREAM_HEADER = "<HI"  # version, steps
 STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
 
 
@@ -55,10 +56,7 @@ class PixelDistribution:
     w_bits is the bit length of the largest weight, run_w[0].
     """
 
-    __slots__ = (
-        "weights", "total", "order", "sorted_weights", "rank",
-        "run_start", "run_w", "run_len", "w_bits", "_h_bits",
-    )
+    __slots__ = ("weights", "total", "order", "rank", "run_start", "run_w", "run_len", "w_bits")
 
     def __init__(self, weights, sorted_row=None):
         """`sorted_row` is what `_sort_rows` derived for these weights, if a table was sorted at once."""
@@ -70,19 +68,12 @@ class PixelDistribution:
                     raise ValueError("weights must be non-negative")
                 raise ValueError(f"total {int(w.sum())} outside (0, 2^40)")
         self.weights = w
-        (self.total, self.order, self.sorted_weights, self.rank,
+        (self.total, self.order, self.rank,
          self.run_start, self.run_w, self.run_len, self.w_bits) = sorted_row
-        self._h_bits = None
-
-    @property
-    def entropy_bits(self) -> float:
-        if self._h_bits is None:
-            self._h_bits = shannon_bits(self.weights / self.total)
-        return self._h_bits
 
 
 def _sort_rows(w: np.ndarray) -> list[tuple | None]:
-    """(total, order, sorted_weights, rank, run_start, run_w, run_len, w_bits) of each row of
+    """(total, order, rank, run_start, run_w, run_len, w_bits) of each row of
     an int64 (n, 256) weight table, sorted in one pass; None for a row that is no distribution
     (a negative weight, or a total outside (0, 2^40)), whose sorted arrays are meaningless."""
     if w.ndim != 2 or w.shape[1] != 256:
@@ -109,7 +100,7 @@ def _sort_rows(w: np.ndarray) -> list[tuple | None]:
     run_len = run_start[:, 1:] - run_start[:, :-1]
     top = sw[:, 0].tolist()
     return [
-        (total, order[i], sw[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r],
+        (total, order[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r],
          top[i].bit_length())
         if ok else None
         for i, (total, r, ok) in enumerate(zip(totals.tolist(), runs.tolist(), valid.tolist()))
@@ -121,12 +112,6 @@ def _distributions(w: np.ndarray) -> list[PixelDistribution | None]:
     None for a row that is no distribution, which PixelDistribution(row) raises on."""
     rows = _sort_rows(w)
     return [None if row is None else PixelDistribution(w[i], row) for i, row in enumerate(rows)]
-
-
-def shannon_bits(p: np.ndarray) -> float:
-    """Shannon entropy in bits of a probability vector."""
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
 
 
 class FixedModel:
@@ -191,7 +176,7 @@ class ContextModel:
     """Causal count model over (same-channel left, up) neighbors, bucketed.
 
     Contexts index a C x (B+1) x (B+1) table of 256-way occurrence counts;
-    bucket index B is the EDGE bucket for out-of-image neighbors. Emitted
+    bucket index B is the edge bucket for out-of-image neighbors. Emitted
     weights are counts + k_s, so no value ever has zero probability.
     """
 
@@ -274,24 +259,30 @@ def train_context_model(
     return model
 
 
+def _read_header(source, magic: bytes, fmt: str) -> tuple[list[int], bytes]:
+    """(header fields after the version, body) of a version-1 container of `source`."""
+    buf = read_bytes(source)
+    if buf[:4] != magic:
+        raise BadMagic(f"expected {magic!r}, got {buf[:4]!r}")
+    end = 4 + struct.calcsize(fmt)
+    if len(buf) < end:
+        raise CorruptTable("header truncated")
+    version, *fields = struct.unpack(fmt, buf[4:end])
+    if version != 1:
+        raise UnsupportedVersion(f"version {version}")
+    return fields, buf[end:]
+
+
 def save_model(model: ContextModel, sink) -> bytes:
     header = MODEL_MAGIC + struct.pack(
-        "<HBBI", 1, model.channels, model.buckets, model.smooth
+        MODEL_HEADER, 1, model.channels, model.buckets, model.smooth
     )
     return write_bytes(header + model.counts.astype("<u8").tobytes(), sink)
 
 
 def load_model(source) -> ContextModel:
-    buf = read_bytes(source)
-    if buf[:4] != MODEL_MAGIC:
-        raise BadMagic(f"expected {MODEL_MAGIC!r}, got {buf[:4]!r}")
-    if len(buf) < 12:
-        raise CorruptTable("header truncated")
-    version, channels, buckets, smooth = struct.unpack("<HBBI", buf[4:12])
-    if version != 1:
-        raise UnsupportedVersion(f"version {version}")
+    (channels, buckets, smooth), body = _read_header(source, MODEL_MAGIC, MODEL_HEADER)
     need = channels * (buckets + 1) ** 2 * 256 * 8
-    body = buf[12:]
     if len(body) != need:
         raise CorruptTable(f"count table is {len(body)} bytes, expected {need}")
     counts = np.frombuffer(body, dtype="<u8")
@@ -303,20 +294,12 @@ def save_stream(weights_per_step: np.ndarray, sink) -> bytes:
     if ((table < 0) | (table >= 1 << 32)).any():
         raise ValueError("stream weights must lie in [0, 2^32)")
     table = table.astype("<u4")
-    blob = STREAM_MAGIC + struct.pack("<HI", 1, table.shape[0]) + table.tobytes()
+    blob = STREAM_MAGIC + struct.pack(STREAM_HEADER, 1, table.shape[0]) + table.tobytes()
     return write_bytes(blob, sink)
 
 
 def load_stream(source) -> StreamModel:
-    buf = read_bytes(source)
-    if buf[:4] != STREAM_MAGIC:
-        raise BadMagic(f"expected {STREAM_MAGIC!r}, got {buf[:4]!r}")
-    if len(buf) < 10:
-        raise CorruptTable("header truncated")
-    version, steps = struct.unpack("<HI", buf[4:10])
-    if version != 1:
-        raise UnsupportedVersion(f"version {version}")
-    body = buf[10:]
+    (steps,), body = _read_header(source, STREAM_MAGIC, STREAM_HEADER)
     if len(body) != steps * 256 * 4:
         raise CorruptTable(f"stream body is {len(body)} bytes, expected {steps * 256 * 4}")
     table = np.frombuffer(body, dtype="<u4").reshape(steps, 256)

@@ -72,22 +72,36 @@ class TestEmbedExtract:
         ) == 0
         assert bytes(pnm.read_image(out).data) == bytes([1, 2, 3, 4])
 
-    def test_degenerate_capacity_exit_3(self, tmp_path, capsys):
-        # a stream of point-mass steps cannot confirm the framed header
-        table = [[0] * 256 for _ in range(4)]
-        for row in table:
-            row[7] = 1
-        stream_path = tmp_path / "d.psds"
-        models.save_stream(table, stream_path)
+    @pytest.mark.parametrize(
+        "model, payload, named",
+        [
+            # a stream of point-mass steps cannot confirm the framed header
+            ("degenerate", b"",
+             "confirmed 0 of 32 framed bits at prc 26, final interval [0, 67108863]"),
+            # four uniform gray steps confirm 8 bits each: the header, not the payload byte
+            ("uniform", b"x", "confirmed 32 of 40 framed bits at prc 26, final interval"),
+        ],
+        ids=["degenerate-stream", "uniform-short"],
+    )
+    def test_capacity_exceeded_exit_3(self, model, payload, named, tmp_path, capsys):
+        if model == "degenerate":
+            table = [[0] * 256 for _ in range(4)]
+            for row in table:
+                row[7] = 1
+            stream_path = tmp_path / "d.psds"
+            models.save_stream(table, stream_path)
+            model_args = ["--dist-stream", str(stream_path)]
+        else:
+            model_args = ["--uniform"]
         msg = tmp_path / "m.bin"
-        msg.write_bytes(b"")
+        msg.write_bytes(payload)
         code = run(
-            "embed", "--dist-stream", str(stream_path), "--message", str(msg),
+            "embed", *model_args, "--message", str(msg),
             "--width", "2", "--height", "2", "--seed", "1", "--out", str(tmp_path / "s.pgm"),
         )
         assert code == 3
         line = assert_one_error_line(capsys)
-        assert "confirmed 0 of 32 framed bits at prc 26, final interval [0, 67108863]" in line
+        assert named in line
 
     def test_full_pipeline_checksum(self, corpus_dir, tmp_path):
         model_path = tmp_path / "model.pscm"
@@ -242,7 +256,8 @@ class TestAnalyze:
             "--out-entropy-map", str(tmp_path / "e.pgm"),
             "--out-bits-map", str(tmp_path / "b.pgm"),
         ) == 0
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open() as f:
+            rows = list(csv.DictReader(f))
         detail = [r for r in rows if r["image"].startswith("img_")]
         assert len(detail) == 4
         assert all(float(r["er_pixel"]) == 8.0 for r in detail)

@@ -307,7 +307,7 @@ def scaled_registers(draw):
 
 
 def clone(state):
-    return CoderState(state.prc, state.low, state.high, state.confirmed)
+    return CoderState(state.prc, state.low, state.high)
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,18 +316,15 @@ def clone(state):
 @example([5] * 256, (26, 0, (1 << 26) - 1)).via("int64 path")
 # past the guard, with a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("fallback")
-def test_derived_bounds_and_cut_match_the_oracle(weights, register):
-    """`bounds` and `cut`, derived from the run ends, are the per-symbol oracle's tiling."""
+def test_derived_cut_matches_the_oracle(weights, register):
+    """`cut`, derived from the run ends, is the per-symbol oracle's tiling."""
     prc, low, high = register
     dist = PixelDistribution(weights)
     part = quantize(dist, CoderState(prc, low=low, high=high))
     order, cut = quantize_oracle(weights, low, high)
     assert (part.order.tolist(), part.cut) == (order, cut)
     assert all(type(c) is int for c in part.cut)
-    # the oracle's boundary before each rank; ranks past its nonzero widths sit at width
-    before = cut + [cut[-1]] * (257 - len(cut))
-    assert part.bounds == [before[k] for k in dist.run_start.tolist()]
-    assert part.ends[-1] + part.deficit == part.width == high - low + 1
+    assert part.cut[-1] == part.width == high - low + 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,6 @@ from stegosampler import coder
 from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
     CoderState,
-    QuantizedPartition,
     StepRecord,
     embed_image,
     embed_step,
@@ -21,12 +20,11 @@ from stegosampler.metrics import (
     EmbedReport,
     ShapeMismatch,
     aggregate,
-    entropy,
     heatmaps,
     step_stats,
     write_csv,
 )
-from stegosampler.models import FixedModel, PixelDistribution, StreamModel, shannon_bits
+from stegosampler.models import FixedModel, PixelDistribution, StreamModel
 from stegosampler.pnm import ImageGrid, sequence_positions
 
 
@@ -37,28 +35,29 @@ def dist(**mass):
     return PixelDistribution(w)
 
 
-def partition(widths_by_symbol):
-    """Hand-built partition: {symbol: width} in rank order, each symbol a run of its own
-    and the other symbols one run of width 0, with no rounding deficit."""
-    order = np.array(list(widths_by_symbol) + [v for v in range(256) if v not in widths_by_symbol])
-    widths = list(widths_by_symbol.values())
-    run_start = np.array([*range(len(widths)), len(widths), 256])
-    ends = [*np.cumsum(widths).tolist(), sum(widths)]
-    return QuantizedPartition(order, run_start, ends, ends[-1])
+def stats_of(dist_, width):
+    return dict(zip(("h_p", "h_q", "kld", "jsd"), step_stats([dist_], [width])[0]))
 
 
 class TestEntropy:
     def test_uniform(self):
-        assert entropy(PixelDistribution(np.ones(256, dtype=np.int64))) == 8.0
+        assert stats_of(PixelDistribution(np.ones(256, dtype=np.int64)), 1 << 26)["h_p"] == 8.0
 
     def test_point_mass(self):
-        assert entropy(dist(**{"7": 1})) == 0.0
+        assert stats_of(dist(**{"7": 1}), 1 << 26)["h_p"] == 0.0
 
     def test_two_equal(self):
-        assert entropy(dist(**{"0": 5, "255": 5})) == 1.0
+        assert stats_of(dist(**{"0": 5, "255": 5}), 1 << 26)["h_p"] == 1.0
 
     def test_partition(self):
-        assert entropy(partition({3: 2, 9: 2})) == 1.0
+        # two units per value: q = (1/2, 1/2)
+        assert stats_of(dist(**{"3": 1, "9": 1}), 4)["h_q"] == 1.0
+
+
+def shannon(p):
+    """Shannon entropy in bits of a probability vector, summed value by value."""
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
 def oracle_stats(dist_, width):
@@ -75,11 +74,7 @@ def oracle_stats(dist_, width):
     pnz = p > 0
     dqm = (q[nz] * np.log2(q[nz] / m[nz])).sum()
     dpm = (p[pnz] * np.log2(p[pnz] / m[pnz])).sum()
-    return dist_.entropy_bits, shannon_bits(q), kld, float(0.5 * dqm + 0.5 * dpm)
-
-
-def stats_of(dist_, width):
-    return dict(zip(("h_p", "h_q", "kld", "jsd"), step_stats([dist_], [width])[0]))
+    return shannon(p), shannon(q), kld, float(0.5 * dqm + 0.5 * dpm)
 
 
 class TestDivergences:
@@ -186,9 +181,9 @@ class TestAggregate:
 
     def test_csv_shape(self):
         reports = [fake_report([1, 1, 1, 1]) for _ in range(5)]
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_csv(reports, [f"img{i}" for i in range(5)], buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = buf.getvalue().decode().strip().splitlines()
         assert lines[0] == "image,steps,bits,er_pixel,er_step,h_p,h_q,kld,jsd"
         assert len(lines) == 1 + 5 + 2  # header, detail, mean, std
         assert lines[-2].startswith("mean,")
@@ -280,7 +275,7 @@ class TestSteps:
         "read, field",
         [
             (lambda rep: rep.mean_kld, "kld"),
-            (lambda rep: write_csv([rep], ["x"], io.StringIO()), "h_p"),
+            (lambda rep: write_csv([rep], ["x"], io.BytesIO()), "h_p"),
             (lambda rep: heatmaps([rep]), "h_p"),
         ],
         ids=["mean_kld", "write_csv", "heatmaps"],

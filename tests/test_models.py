@@ -106,7 +106,7 @@ class TestTraining:
                 assert model.context_of(*query) == (0, left, up)
                 got = model.distribution(*query)
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
-                for field in ("weights", "total", "order", "sorted_weights", "rank", "run_start"):
+                for field in ("weights", "total", "order", "rank", "run_start", "run_w", "run_len"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
 
     def test_invalid_context_raises_when_asked_for(self):
@@ -211,13 +211,12 @@ class TestStream:
             got = model.distribution(None, SequencePosition(step, 0, step, 0))
             want = PixelDistribution(table[step])
             assert got.total == want.total
-            for field in ("weights", "order", "sorted_weights", "rank", "run_start", "run_w", "run_len"):
+            for field in ("weights", "order", "rank", "run_start", "run_w", "run_len"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
             order = np.argsort(-table[step], kind="stable")
             assert np.array_equal(want.order, order)
             assert np.array_equal(want.rank, np.argsort(order))
-            assert np.array_equal(want.sorted_weights, table[step][order])
-            assert runs_of(want.sorted_weights) == list(zip(want.run_start, want.run_w, want.run_len))
+            assert runs_of(table[step][order]) == list(zip(want.run_start, want.run_w, want.run_len))
 
     def test_invalid_step_raises_when_asked_for(self):
         table = np.ones((300, 256), dtype=np.int64)
