@@ -96,11 +96,6 @@ class BitStream:
         word = int.from_bytes(buf.data[offset >> 3 : stop], "big")
         return (word >> ((stop << 3) - end)) & ((1 << width) - 1)
 
-    def advance(self, s: int) -> None:
-        if s < 0:
-            raise ValueError(f"cannot advance by {s} bits")
-        self.confirmed_ptr += s
-
 
 def frame_encode(payload: bytes) -> BitString:
     """Prefix the payload bits with a 32-bit big-endian bit-length header."""

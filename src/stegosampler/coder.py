@@ -96,14 +96,22 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     """Tile [low, high] proportionally to the sorted weights.
 
     Per-symbol widths are floored; the rounding deficit goes to the most
-    probable symbol, which therefore always stays selectable.
+    probable symbol, which therefore always stays selectable. A distribution
+    with at most FEW_RUNS runs, or one whose products could pass int64 (high
+    prc, totals near 2^40), is tiled in exact Python ints; any other in one
+    int64 numpy pass. Both give the same ends.
     """
     width = state.width
-    rw = dist.run_w
-    if width.bit_length() + dist.w_bits > 63:
-        # products could overflow int64 (high prc, totals near 2^40): exact Python ints
-        rw = rw.astype(object)
-    ends = (width * rw // dist.total * dist.run_len).cumsum().tolist()
+    runs = dist.runs
+    if runs is None:
+        if width.bit_length() + dist.w_bits <= 63:
+            ends = (width * dist.run_w // dist.total * dist.run_len).cumsum().tolist()
+            return QuantizedPartition(dist.order, dist.run_start, ends, width)
+        runs = zip(dist.run_w.tolist(), dist.run_len.tolist())
+    total, end, ends = dist.total, 0, []
+    for w, n in runs:
+        end += width * w // total * n
+        ends.append(end)
     return QuantizedPartition(dist.order, dist.run_start, ends, width)
 
 
@@ -249,7 +257,7 @@ def lsb_embed(
     for pos in sequence_positions(width, height, channels):
         dist = model.distribution(grid, pos)
         want = msg.window(msg.confirmed_ptr, 1)
-        msg.advance(1)
+        msg.confirmed_ptr += 1
         cum = np.cumsum(dist.weights)
         value = -1
         for _ in range(max_retries):

@@ -50,9 +50,6 @@ class ImageGrid:
     def steps(self) -> int:
         return self.width * self.height * self.channels
 
-    def at(self, row: int, col: int, channel: int = 0) -> int:
-        return self.data[(row * self.width + col) * self.channels + channel]
-
 
 class SequencePosition(NamedTuple):
     """One coding step: subpixel index plus its raster coordinates."""

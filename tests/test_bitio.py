@@ -52,33 +52,6 @@ class TestWindow:
         assert stream("1", seed=8).window(1, 26) != a.window(1, 26)
 
 
-class TestAdvance:
-    def test_basic(self):
-        s = stream("0000")
-        s.advance(4)
-        assert s.confirmed_ptr == 4
-
-    def test_zero(self):
-        s = stream("0000")
-        s.advance(0)
-        assert s.confirmed_ptr == 0
-
-    def test_additive(self):
-        s = stream()
-        s.advance(3)
-        s.advance(5)
-        assert s.confirmed_ptr == 8
-
-    def test_negative_raises(self):
-        # a real exception, not an assert, so that it also holds under python -O
-        s = stream("0000")
-        s.advance(2)
-        with pytest.raises(ValueError, match="-1"):
-            s.advance(-1)
-        if s.confirmed_ptr != 2:
-            pytest.fail(f"pointer moved to {s.confirmed_ptr}")
-
-
 class TestFraming:
     def test_one_byte(self):
         bits = frame_encode(b"\xab")

@@ -22,6 +22,7 @@ from stegosampler.coder import (
     quantize,
 )
 from stegosampler.models import (
+    FEW_RUNS,
     DegenerateModel,
     FixedModel,
     PixelDistribution,
@@ -248,6 +249,11 @@ def quantize_oracle(weights, low, high):
     return order, cut
 
 
+def with_runs(n):
+    """256 weights in n runs: n, n - 1, ..., 2 alone, then 1 for the rest."""
+    return [max(n - v, 1) for v in range(256)]
+
+
 def wide_weight_arrays():
     # up to 32-bit weights: totals reach just under 2^40, the model limit
     return (
@@ -268,14 +274,17 @@ def registers(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(wide_weight_arrays(), registers())
-# int64 path: 8-bit register, 1-bit weights
-@example([1] * 256, (8, 0, 255)).via("int64 path")
+# 8-bit register, 1-bit weights: two runs
+@example([1] * 256, (8, 0, 255)).via("Python ints, two runs")
+# the most runs that take Python ints, and one run more, which takes int64
+@example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
+@example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
 # widest int64 case: 33-bit width times 30-bit weights, products just under 2^63
-@example([(1 << 30) - 1] * 256, (33, 0, (1 << 33) - 2)).via("int64 path, edge")
-# one weight bit more: products reach 2^64, so the Python-int fallback runs
-@example([(1 << 31) - 1] * 256, (33, 0, (1 << 33) - 2)).via("fallback, edge")
-# Python-int fallback: full 62-bit register, 32-bit weights
-@example([(1 << 32) - 1 - v for v in range(256)], (62, 0, (1 << 62) - 1)).via("fallback")
+@example([(1 << 30) - 1 - v for v in range(256)], (33, 0, (1 << 33) - 2)).via("int64 path, edge")
+# one weight bit more: products reach 2^64, so the guard sends 256 runs to Python ints
+@example([(1 << 31) - 1 - v for v in range(256)], (33, 0, (1 << 33) - 2)).via("past the guard, edge")
+# past the guard: full 62-bit register, 32-bit weights, 256 runs
+@example([(1 << 32) - 1 - v for v in range(256)], (62, 0, (1 << 62) - 1)).via("past the guard")
 def test_quantize_matches_exact_oracle(weights, register):
     prc, low, high = register
     part = quantize(PixelDistribution(weights), CoderState(prc, low=low, high=high))
@@ -287,9 +296,10 @@ def test_quantize_matches_exact_oracle(weights, register):
 
 @st.composite
 def run_weights(draw):
-    """256 weights drawn from a few values, zeros included, so that runs are long."""
+    """256 weights drawn from up to 40 values, zeros included, so that runs are long and their
+    count falls on both sides of FEW_RUNS."""
     bits = draw(st.sampled_from([2, 8, 24, 32]))
-    values = draw(st.lists(st.integers(1 << (bits - 1), (1 << bits) - 1), min_size=1, max_size=4))
+    values = draw(st.lists(st.integers(1 << (bits - 1), (1 << bits) - 1), min_size=1, max_size=40))
     w = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
     w[draw(st.integers(0, 255))] = values[0]  # total > 0
     return w
@@ -312,10 +322,15 @@ def clone(state):
 
 @settings(max_examples=150, deadline=None)
 @given(run_weights(), scaled_registers())
-# one run of 255 equal symbols behind rank 0, on the int64 side of the guard
-@example([5] * 256, (26, 0, (1 << 26) - 1)).via("int64 path")
-# past the guard, with a tail of zero weights: 62-bit interval, 32-bit weights
-@example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("fallback")
+# one run of 255 equal symbols behind rank 0
+@example([5] * 256, (26, 0, (1 << 26) - 1)).via("Python ints, two runs")
+# the most runs that take Python ints, and one run more, which takes int64
+@example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
+@example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
+# a tail of zero weights: 62-bit interval, 32-bit weights
+@example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("Python ints, zero tail")
+# many runs past the guard
+@example([(1 << 32) - 1 - v for v in range(256)], (62, 3, (1 << 62) - 1)).via("past the guard")
 def test_derived_cut_matches_the_oracle(weights, register):
     """`cut`, derived from the run ends, is the per-symbol oracle's tiling."""
     prc, low, high = register
@@ -329,10 +344,15 @@ def test_derived_cut_matches_the_oracle(weights, register):
 
 @settings(max_examples=150, deadline=None)
 @given(run_weights(), scaled_registers(), st.integers(0, 2**64 - 1))
-# one run of 255 equal symbols behind rank 0, on the int64 side of the guard
-@example([5] * 256, (26, 0, (1 << 26) - 1), 12345).via("int64 path")
-# the same past the guard: 62-bit interval, 32-bit weights
-@example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1), 1 << 61).via("fallback")
+# one run of 255 equal symbols behind rank 0
+@example([5] * 256, (26, 0, (1 << 26) - 1), 12345).via("Python ints, two runs")
+# the most runs that take Python ints, and one run more, which takes int64
+@example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("Python ints, FEW_RUNS runs")
+@example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, FEW_RUNS + 1 runs")
+# a tail of zero weights: 62-bit interval, 32-bit weights
+@example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1), 1 << 61).via("Python ints, zero tail")
+# many runs past the guard
+@example([(1 << 32) - 1 - v for v in range(256)], (62, 3, (1 << 62) - 1), 1 << 61).via("past the guard")
 def test_run_steps_match_the_full_cut(weights, register, u):
     """embed_step and extract_step over runs give what bisecting the per-symbol `cut` gives."""
     prc, low, high = register

@@ -10,6 +10,7 @@ from stegosampler.models import (
     CorruptTable,
     DegenerateModel,
     EmptyCorpus,
+    FEW_RUNS,
     FixedModel,
     MixedChannelCorpus,
     NegativeProbability,
@@ -108,6 +109,7 @@ class TestTraining:
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
                 for field in ("weights", "total", "order", "rank", "run_start", "run_w", "run_len"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
+                assert got.runs == want.runs, (left, up)
 
     def test_invalid_context_raises_when_asked_for(self):
         model = train_context_model([gray([[0, 0], [0, 0]])], smooth=0)
@@ -213,10 +215,17 @@ class TestStream:
             assert got.total == want.total
             for field in ("weights", "order", "rank", "run_start", "run_w", "run_len"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
+            assert got.runs == want.runs, step
             order = np.argsort(-table[step], kind="stable")
             assert np.array_equal(want.order, order)
             assert np.array_equal(want.rank, np.argsort(order))
-            assert runs_of(table[step][order]) == list(zip(want.run_start, want.run_w, want.run_len))
+            runs = runs_of(table[step][order])
+            assert runs == list(zip(want.run_start, want.run_w, want.run_len))
+            if len(runs) > FEW_RUNS:
+                assert want.runs is None, step
+            else:
+                assert want.runs == tuple((w, n) for _, w, n in runs), step
+                assert all(type(x) is int for pair in want.runs for x in pair), step
 
     def test_invalid_step_raises_when_asked_for(self):
         table = np.ones((300, 256), dtype=np.int64)

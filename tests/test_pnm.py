@@ -24,7 +24,7 @@ class TestRead:
     def test_p6_single_pixel(self):
         g = read_image(b"P6 1 1 255\n" + bytes([10, 20, 30]))
         assert g.channels == 3
-        assert (g.at(0, 0, 0), g.at(0, 0, 1), g.at(0, 0, 2)) == (10, 20, 30)
+        assert bytes(g.data) == bytes([10, 20, 30])
 
     def test_comments_and_whitespace(self):
         raw = b"P5 # a comment\n#another\n  2\t1 # w h\n255\n\x05\x06"
