@@ -248,30 +248,20 @@ def lsb_embed(
     message: bytes,
     rng_seed: int,
     pad_seed: int | None = None,
-    max_retries: int = 64,
 ) -> ImageGrid:
-    """Rejection-sampling baseline: resample until the LSB matches the next bit."""
+    """Rejection-sampling baseline: each pixel is drawn once from p restricted to the values
+    whose LSB is the next bit, as resampling until the LSB matches would draw it."""
     msg = BitStream(BitString(message), pad_seed)
     rng = random.Random(rng_seed)
     grid = ImageGrid.blank(width, height, channels)
     for pos in sequence_positions(width, height, channels):
-        dist = model.distribution(grid, pos)
         want = msg.window(msg.confirmed_ptr, 1)
         msg.confirmed_ptr += 1
-        cum = np.cumsum(dist.weights)
-        value = -1
-        for _ in range(max_retries):
-            r = rng.randrange(dist.total)
-            v = int(np.searchsorted(cum, r, side="right"))
-            if v & 1 == want:
-                value = v
-                break
-        if value < 0:
-            parity_w = dist.weights[want::2]
-            if parity_w.max() == 0:
-                raise NoParityMass(f"no weight on values with LSB {want}")
-            value = want + 2 * int(parity_w.argmax())
-        grid.data[pos.index] = value
+        cum = np.cumsum(model.distribution(grid, pos).weights[want::2])
+        if cum[-1] == 0:
+            raise NoParityMass(f"no weight on values with LSB {want}")
+        r = rng.randrange(int(cum[-1]))
+        grid.data[pos.index] = want + 2 * int(np.searchsorted(cum, r, side="right"))
     return grid
 
 

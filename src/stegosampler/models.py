@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pnm import ImageGrid, SequencePosition, read_bytes, write_bytes
+from .pnm import BadMagic, ImageGrid, SequencePosition, read_bytes, write_bytes
 
 WEIGHT_TOTAL_LIMIT = 1 << 40  # headroom for interval multiplication at prc <= 62
 
@@ -26,10 +26,6 @@ class EmptyCorpus(ValueError):
 
 
 class MixedChannelCorpus(ValueError):
-    pass
-
-
-class BadMagic(ValueError):
     pass
 
 
@@ -183,7 +179,8 @@ class ContextModel:
     """Causal count model over (same-channel left, up) neighbors, bucketed.
 
     Contexts index a C x (B+1) x (B+1) table of 256-way occurrence counts;
-    bucket index B is the edge bucket for out-of-image neighbors. Emitted
+    bucket index B is the edge bucket for out-of-image neighbors. A context's
+    id is its row in the flat (C*(B+1)^2, 256) view of that table. Emitted
     weights are counts + k_s, so no value ever has zero probability.
     """
 
@@ -202,24 +199,24 @@ class ContextModel:
         else:
             counts = np.asarray(counts, dtype=np.uint64).reshape(shape)
         self.counts = counts
-        self._dists: dict[tuple[int, int, int], PixelDistribution | None] | None = None
-        self._unseen: PixelDistribution | None = None
+        self._dists: list[PixelDistribution | None] | None = None
 
-    def context_of(self, prefix: ImageGrid, pos: SequencePosition) -> tuple[int, int, int]:
-        """(channel, left, up): the bucketed same-channel neighbours, read from the flat raster."""
+    def context_of(self, prefix: ImageGrid, pos: SequencePosition) -> int:
+        """The context id, (channel*(B+1) + left)*(B+1) + up, of the bucketed same-channel
+        neighbours, read from the flat raster."""
         B = self.buckets
         i, data = pos.index, prefix.data
         left = B if pos.col == 0 else data[i - prefix.channels] * B >> 8
         up = B if pos.row == 0 else data[i - prefix.width * prefix.channels] * B >> 8
-        return pos.channel, left, up
+        return (pos.channel * (B + 1) + left) * (B + 1) + up
 
     def distribution(self, prefix: ImageGrid, pos: SequencePosition) -> PixelDistribution:
         if self._dists is None:
             self._sort_contexts()
-        key = self.context_of(prefix, pos)
+        row = self.context_of(prefix, pos)
         # a context whose weights are no distribution raises only when asked for
-        d = self._dists.get(key, self._unseen)
-        return d or PixelDistribution(self.counts[key].astype(np.int64) + self.smooth)
+        return self._dists[row] or PixelDistribution(
+            self.counts.reshape(-1, 256)[row].astype(np.int64) + self.smooth)
 
     def _sort_contexts(self) -> None:
         """Build the distribution of every context in one sorting pass. Contexts the corpus
@@ -229,9 +226,10 @@ class ContextModel:
         seen = np.flatnonzero(counts.any(axis=1))
         w = np.zeros((len(seen) + 1, 256), dtype=np.int64)  # the last row: an unseen context
         w[:-1] = counts[seen]
-        *dists, self._unseen = _distributions(w + self.smooth)
-        keys = zip(*(i.tolist() for i in np.unravel_index(seen, self.counts.shape[:3])))
-        self._dists = dict(zip(keys, dists))
+        *dists, unseen = _distributions(w + self.smooth)
+        self._dists = [unseen] * len(counts)
+        for row, d in zip(seen.tolist(), dists):
+            self._dists[row] = d
 
 
 def train_context_model(
@@ -246,23 +244,17 @@ def train_context_model(
         raise MixedChannelCorpus("corpus mixes gray and RGB images")
 
     model = ContextModel(channels, buckets, smooth)
+    counts = model.counts.reshape(-1, 256)
     B = buckets
     for img in images:
-        arr = np.frombuffer(bytes(img.data), dtype=np.uint8).reshape(
-            img.height, img.width, channels
-        )
-        vals = arr.astype(np.int64)
-        bucketed = (vals * B) >> 8
-        for ch in range(channels):
-            left = np.full((img.height, img.width), B, dtype=np.int64)
-            left[:, 1:] = bucketed[:, :-1, ch]
-            up = np.full((img.height, img.width), B, dtype=np.int64)
-            up[1:, :] = bucketed[:-1, :, ch]
-            np.add.at(
-                model.counts,
-                (ch, left.ravel(), up.ravel(), vals[:, :, ch].ravel()),
-                np.uint64(1),
-            )
+        vals = np.frombuffer(img.data, dtype=np.uint8).reshape(img.height, img.width, channels)
+        bucketed = vals.astype(np.int64) * B >> 8
+        left = np.full(vals.shape, B, dtype=np.int64)
+        left[:, 1:] = bucketed[:, :-1]
+        up = np.full(vals.shape, B, dtype=np.int64)
+        up[1:] = bucketed[:-1]
+        row = (np.arange(channels) * (B + 1) + left) * (B + 1) + up
+        np.add.at(counts, (row.ravel(), vals.ravel()), np.uint64(1))
     return model
 
 

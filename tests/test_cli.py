@@ -186,8 +186,11 @@ def bad_inputs(tmp_path):
     models.save_stream(table, tmp_path / "zero-row.psds")
     gray = corpus.stroke_corpus(4, 4, 4, 1, seed=1)
     models.save_model(models.train_context_model(gray, buckets=4), tmp_path / "gray.pscm")
+    (tmp_path / "cut.pscm").write_bytes((tmp_path / "gray.pscm").read_bytes()[:8])
     pnm.write_image(pnm.ImageGrid(2, 2, 3, bytearray(12)), tmp_path / "rgb.ppm")
     pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "gray.pgm")
+    (tmp_path / "empty.pgm").write_bytes(b"")
+    (tmp_path / "height0.pgm").write_bytes(b"P5\n2 0\n255\n")
     (tmp_path / "msg.bin").write_bytes(b"\x01")
     (tmp_path / "maxval17").mkdir()
     (tmp_path / "maxval17" / "a.pgm").write_bytes(b"P5\n2 2\n17\n\x00\x01\x02\x03")
@@ -205,6 +208,9 @@ BAD_INPUT_PROBES = {
     "embed-zero-row-stream": f"{EMBED} --dist-stream {{d}}/zero-row.psds --out {{d}}/s.pgm",
     "analyze-zero-row-stream": f"{ANALYZE} --dist-stream {{d}}/zero-row.psds",
     "extract-gray-model-rgb-image": "extract --model {d}/gray.pscm --image {d}/rgb.ppm --out {d}/o.bin",
+    "extract-empty-image": "extract --uniform --image {d}/empty.pgm --out {d}/o.bin",
+    "extract-height-0-image": "extract --uniform --image {d}/height0.pgm --out {d}/o.bin",
+    "embed-model-cut-in-header": f"{EMBED} --model {{d}}/cut.pscm --out {{d}}/s.pgm",
     "embed-gray-model-rgb": f"{EMBED} --model {{d}}/gray.pscm --rgb --out {{d}}/s.ppm",
     "embed-width-0": "embed --uniform --message {d}/msg.bin --width 0 --height 2 --out {d}/s.pgm",
     "embed-prc-70": f"{EMBED} --uniform --prc 70 --out {{d}}/s.pgm",

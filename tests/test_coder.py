@@ -209,6 +209,15 @@ class TestLsbBaseline:
         with pytest.raises(NoParityMass):
             lsb_embed(FixedModel(w), 8, 1, 1, b"\xff", rng_seed=0, pad_seed=0)
 
+    def test_draws_from_p_restricted_to_the_parity(self):
+        # odd values hold 4 of 10^6 + 4 units: a draw from p almost never has LSB 1
+        w = np.zeros(256, dtype=np.int64)
+        w[[0, 1, 3]] = 10**6, 1, 3
+        grid = lsb_embed(FixedModel(w), 400, 1, 1, b"\xff" * 50, rng_seed=3, pad_seed=0)
+        ones = grid.data.count(1)
+        assert grid.data.count(3) == 400 - ones
+        assert 60 < ones < 140  # about 1 in 4
+
 
 def weight_arrays():
     return st.lists(st.integers(0, 1000), min_size=256, max_size=256).filter(

@@ -203,6 +203,12 @@ class TestHeatmaps:
         assert bytes(ent.data) == b"\xff" * 4
         assert bytes(bits.data) == b"\xff" * 4
 
+    def test_varying_field_scales_min_to_max(self):
+        rep = fake_report([0, 2, 4, 8])
+        ent, bits = heatmaps([rep])
+        assert bytes(bits.data) == bytes([0, 64, 128, 255])
+        assert bytes(ent.data) == b"\xff" * 4  # constant H(p) = 1 saturates
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             heatmaps([fake_report([1] * 4), fake_report([1] * 6, w=3)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stegosampler.corpus import stroke_corpus
 from stegosampler.models import (
     BadMagic,
     ContextModel,
@@ -104,12 +105,21 @@ class TestTraining:
         for left in range(B + 1):
             for up in range(B + 1):
                 query = context_query(left, up, B)
-                assert model.context_of(*query) == (0, left, up)
+                assert model.context_of(*query) == left * (B + 1) + up
                 got = model.distribution(*query)
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
                 for field in ("weights", "total", "order", "rank", "run_start", "run_w", "run_len"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
                 assert got.runs == want.runs, (left, up)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_training_counts_the_rows_lookup_reads(self, channels):
+        images = stroke_corpus(3, 9, 7, channels, seed=4, noise=0.2)
+        model = train_context_model(images, buckets=5)
+        rows = model.counts.reshape(-1, 256)
+        for img in images:
+            for pos in sequence_positions(img.width, img.height, channels):
+                assert rows[model.context_of(img, pos), img.data[pos.index]] > 0, pos
 
     def test_invalid_context_raises_when_asked_for(self):
         model = train_context_model([gray([[0, 0], [0, 0]])], smooth=0)
