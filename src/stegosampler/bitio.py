@@ -5,7 +5,6 @@ import os
 from dataclasses import dataclass, field
 
 HEADER_BITS = 32
-MAX_PAYLOAD_BYTES = 1 << 29
 
 _M64 = (1 << 64) - 1
 
@@ -100,7 +99,7 @@ class BitStream:
 def frame_encode(payload: bytes) -> BitString:
     """Prefix the payload bits with a 32-bit big-endian bit-length header."""
     nbits = 8 * len(payload)
-    if len(payload) > MAX_PAYLOAD_BYTES or nbits >= (1 << HEADER_BITS):
+    if nbits >= 1 << HEADER_BITS:
         raise OversizePayload(f"{len(payload)} bytes do not fit a 32-bit bit count")
     return BitString(nbits.to_bytes(HEADER_BITS // 8, "big") + payload)
 

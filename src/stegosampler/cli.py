@@ -2,7 +2,8 @@
 
 Exit codes, each with one `error:` line on stderr (5 with a `selftest:` line):
   2  an unreadable or invalid input file, a flag out of range, a model whose
-     channel count differs from the image's, an unwritable output
+     channel count differs from the image's, an unwritable output, two outputs
+     on one path
   3  capacity: the image cannot confirm the framed message
   4  extraction: a pixel the model cannot decode, or a truncated framed payload
   5  selftest: a golden vector gives other bits
@@ -10,6 +11,7 @@ Exit codes, each with one `error:` line on stderr (5 with a `selftest:` line):
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -111,26 +113,32 @@ def _read_corpus(directory: str) -> list[pnm.ImageGrid]:
 def cmd_train(args) -> int:
     corpus = _read_corpus(args.corpus)
     model = models.train_context_model(corpus, args.buckets, args.smooth)
-    models.save_model(model, args.out)
+    _write_all([(args.out, models.save_model(model, None))])
     contexts = model.channels * (model.buckets + 1) ** 2
     print(f"trained on {len(corpus)} images: {contexts} contexts -> {args.out}")
     return 0
 
 
-def _write_all(writers: dict) -> dict:
-    """Write each path with its writer, all or none: to temporary names beside
-    the paths, renamed only once every write succeeded. Returns what each
-    writer returned, by path."""
-    temps = {path: f"{path}.{os.getpid()}.tmp" for path in writers}
+def _write_all(outputs: list[tuple[str, bytes]]) -> None:
+    """Write each (path, bytes) pair, all or none: to temporary names beside the
+    paths, renamed only once every write succeeded. Outputs on one path are
+    refused before anything is written; after a failure, neither the temporaries
+    nor the outputs renamed so far remain."""
+    paths = [path for path, _ in outputs]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"two outputs on one path: {' '.join(paths)}")
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    renamed = []
     try:
-        results = {path: write(temps[path]) for path, write in writers.items()}
+        for tmp, (_, blob) in zip(temps, outputs):
+            pnm.write_bytes(blob, tmp)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        for tmp in filter(os.path.exists, temps.values()):
-            os.remove(tmp)
+        for leftover in filter(os.path.exists, temps + renamed):
+            os.remove(leftover)
         raise
-    for path, tmp in temps.items():
-        os.replace(tmp, path)
-    return results
 
 
 def cmd_embed(args) -> int:
@@ -142,10 +150,12 @@ def cmd_embed(args) -> int:
         model, args.width, args.height, channels, message, prc=args.prc,
         framed=not args.raw, pad_seed=seed, collect=bool(args.report),
     )
-    writers = {args.out: lambda path: pnm.write_image(grid, path)}
+    outputs = [(args.out, pnm.write_image(grid))]
     if args.report:
-        writers[args.report] = lambda path: metrics.write_csv([report], [args.out], path)
-    _write_all(writers)
+        csv_sink = io.BytesIO()
+        metrics.write_csv([report], [args.out], csv_sink)
+        outputs.append((args.report, csv_sink.getvalue()))
+    _write_all(outputs)
     print(
         f"pad seed {seed}; confirmed {report.bits_confirmed} bits; "
         f"ER {report.er_per_pixel:.4f} bpp ({report.er_per_step:.4f} bits/step)"
@@ -157,7 +167,7 @@ def cmd_extract(args) -> int:
     model = _load_model(args)
     image = pnm.read_image(args.image)
     payload = coder.extract_image(model, image, prc=args.prc, framed=not args.raw)
-    pnm.write_bytes(payload, args.out)
+    _write_all([(args.out, payload)])
     print(f"recovered {len(payload)} bytes -> {args.out}")
     return 0
 
@@ -178,12 +188,14 @@ def cmd_analyze(args) -> int:
     ]
     names = [f"img_{i:04d}" for i in range(args.count)]
     ent_map, bits_map = metrics.heatmaps(reports)
-    written = _write_all({
-        args.out_csv: lambda path: metrics.write_csv(reports, names, path),
-        args.out_entropy_map: lambda path: pnm.write_image(ent_map, path),
-        args.out_bits_map: lambda path: pnm.write_image(bits_map, path),
-    })
-    for key, (mean, std) in written[args.out_csv].items():
+    csv_sink = io.BytesIO()
+    summary = metrics.write_csv(reports, names, csv_sink)
+    _write_all([
+        (args.out_csv, csv_sink.getvalue()),
+        (args.out_entropy_map, pnm.write_image(ent_map)),
+        (args.out_bits_map, pnm.write_image(bits_map)),
+    ])
+    for key, (mean, std) in summary.items():
         print(f"{key}: {mean:.4f} +/- {std:.4f}")
     return 0
 

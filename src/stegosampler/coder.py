@@ -15,7 +15,7 @@ import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import PixelDistribution, StreamExhausted
+from .models import INT64_MAX, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -97,14 +97,14 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
 
     Per-symbol widths are floored; the rounding deficit goes to the most
     probable symbol, which therefore always stays selectable. A distribution
-    with at most FEW_RUNS runs, or one whose products could pass int64 (high
-    prc, totals near 2^40), is tiled in exact Python ints; any other in one
-    int64 numpy pass. Both give the same ends.
+    with at most FEW_RUNS runs, or one whose products could pass int64 (width
+    times total above INT64_MAX: high prc, totals near 2^40), is tiled in exact
+    Python ints; any other in one int64 numpy pass. Both give the same ends.
     """
     width = state.width
     runs = dist.runs
     if runs is None:
-        if width.bit_length() + dist.w_bits <= 63:
+        if width * dist.total <= INT64_MAX:
             ends = (width * dist.run_w // dist.total * dist.run_len).cumsum().tolist()
             return QuantizedPartition(dist.order, dist.run_start, ends, width)
         runs = zip(dist.run_w.tolist(), dist.run_len.tolist())

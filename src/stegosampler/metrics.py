@@ -9,10 +9,8 @@ from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .models import PixelDistribution
+from .models import INT64_MAX, PixelDistribution
 from .pnm import ImageGrid, write_bytes
-
-INT64_MAX = np.iinfo(np.int64).max
 
 
 class AbsoluteContinuityViolated(ValueError):
@@ -44,8 +42,8 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     h_p = -(mult * p * np.log2(p, out=np.zeros_like(p), where=vals > 0)).sum(axis=1)
     vals, mult, total, p = vals[row], mult[row], total[row], p[row]
     w = np.asarray(width_before, dtype=np.int64)
-    # rows whose largest product w * run_w[0] passes int64 would wrap around: redo them exactly
-    big = vals[:, 0] > INT64_MAX // w
+    # rows whose products w * run_w could pass int64 would wrap around: redo them exactly
+    big = total > INT64_MAX // w
     ws = vals * w[:, None] // total[:, None]
     ws[big] = vals[big].astype(object) * w[big, None] // total[big, None]
     ws[:, 0] += w - (ws * mult).sum(axis=1)

@@ -21,10 +21,6 @@ class ShortData(ValueError):
     pass
 
 
-class SinkFailure(OSError):
-    pass
-
-
 @dataclass
 class ImageGrid:
     """Row-major, channel-interleaved 8-bit image."""
@@ -101,15 +97,11 @@ def read_bytes(source) -> bytes:
 
 def write_bytes(blob: bytes, sink) -> bytes:
     """Write `blob` to a binary file object or a path (None: nowhere); returns it."""
-    if sink is not None:
-        try:
-            if hasattr(sink, "write"):
-                sink.write(blob)
-            else:
-                with open(sink, "wb") as f:
-                    f.write(blob)
-        except OSError as e:
-            raise SinkFailure(str(e)) from e
+    if hasattr(sink, "write"):
+        sink.write(blob)
+    elif sink is not None:
+        with open(sink, "wb") as f:
+            f.write(blob)
     return blob
 
 

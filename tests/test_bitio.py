@@ -51,6 +51,13 @@ class TestWindow:
             assert a.window(off, 26) == b.window(off, 26)
         assert stream("1", seed=8).window(1, 26) != a.window(1, 26)
 
+    def test_padding_seed_drawn_when_none(self):
+        a = BitStream(BitString(b"\x01"))
+        assert 0 <= a.pad_seed < 1 << 64
+        b = BitStream(BitString(b"\x01"), a.pad_seed)
+        for off in (0, 5, 100):
+            assert a.window(off, 26) == b.window(off, 26)
+
 
 class TestFraming:
     def test_one_byte(self):
@@ -95,12 +102,18 @@ class TestFraming:
             frame_decode(bits)
 
     def test_oversize(self):
-        class FakeBytes(bytes):
-            def __len__(self):
-                return 1 << 30
+        def claiming(n):
+            class FakeBytes(bytes):  # empty, but reports n bytes
+                def __len__(self):
+                    return n
 
+            return FakeBytes()
+
+        # 2^29 bytes are 2^32 bits, one more than the header counts
         with pytest.raises(OversizePayload):
-            frame_encode(FakeBytes())
+            frame_encode(claiming(1 << 29))
+        header = frame_encode(claiming((1 << 29) - 1)).to_bytes()
+        assert header == (8 * ((1 << 29) - 1)).to_bytes(4, "big")
 
 
 @given(st.binary(max_size=200))

@@ -196,6 +196,7 @@ def bad_inputs(tmp_path):
     (tmp_path / "maxval17" / "a.pgm").write_bytes(b"P5\n2 2\n17\n\x00\x01\x02\x03")
     (tmp_path / "corpus").mkdir()
     pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "corpus" / "a.pgm")
+    (tmp_path / "adir").mkdir()  # an output path that names a directory
     return {"d": str(tmp_path), "missing": str(tmp_path / "missing")}
 
 
@@ -229,15 +230,32 @@ BAD_INPUT_PROBES = {
     "embed-out-missing-dir-with-report": f"{EMBED} --uniform --raw --out {{missing}}/s.pgm "
     "--report {d}/r.csv",
     "analyze-bits-map-missing-dir": ANALYZE.replace("{d}/b.pgm", "{missing}/b.pgm") + " --uniform",
+    "embed-report-is-dir": f"{EMBED} --uniform --raw --out {{d}}/s.pgm --report {{d}}/adir",
+    "extract-out-is-dir": "extract --uniform --image {d}/gray.pgm --raw --out {d}/adir",
+    "train-out-is-dir": "train --corpus {d}/corpus --out {d}/adir",
+    "analyze-bits-map-is-dir": ANALYZE.replace("{d}/b.pgm", "{d}/adir") + " --uniform",
+    "embed-out-and-report-one-path": f"{EMBED} --uniform --raw --out {{d}}/x.pgm "
+    "--report {d}/x.pgm",
+    "analyze-csv-and-entropy-map-one-path": ANALYZE.replace("{d}/e.pgm", "{d}/./a.csv")
+    + " --uniform",
 }
 
 
-# a path the probe's error line must name, and the files the failed command must not leave
-PROBE_NAMES = {"train-maxval-17": "{d}/maxval17/a.pgm"}
+# what the probe's error line must name, and the files the failed command must not leave
+PROBE_NAMES = {
+    "train-maxval-17": "{d}/maxval17/a.pgm",
+    # refused up front, not by a later rename that finds the shared temporary gone
+    "embed-out-and-report-one-path": "two outputs on one path: {d}/x.pgm {d}/x.pgm",
+    "analyze-csv-and-entropy-map-one-path": "two outputs on one path: {d}/a.csv {d}/./a.csv",
+}
 PROBE_LEAVES_NO = {
     "embed-report-missing-dir": ["{d}/s.pgm"],
     "embed-out-missing-dir-with-report": ["{d}/r.csv", "{missing}/s.pgm"],
     "analyze-bits-map-missing-dir": ["{d}/a.csv", "{d}/e.pgm"],
+    "embed-report-is-dir": ["{d}/s.pgm"],
+    "analyze-bits-map-is-dir": ["{d}/a.csv", "{d}/e.pgm"],
+    "embed-out-and-report-one-path": ["{d}/x.pgm"],
+    "analyze-csv-and-entropy-map-one-path": ["{d}/a.csv", "{d}/b.pgm"],
 }
 
 
@@ -288,3 +306,25 @@ class TestSelftest:
         monkeypatch.setattr(coder, "quantize", skewed)
         assert run("selftest") == 5
         assert "golden-step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, vector",
+        [
+            ("embed_image", "uniform-passthrough"),
+            ("extract_image", "uniform-passthrough"),
+            ("frame_decode", "framed-roundtrip"),  # only framed extracts call it
+        ],
+    )
+    def test_names_the_failing_vector(self, target, vector, monkeypatch, capsys):
+        real = getattr(coder, target)
+
+        def flipped(*args, **kwargs):  # the low bit of the first pixel or byte flipped
+            out = real(*args, **kwargs)
+            if isinstance(out, bytes):
+                return bytes([out[0] ^ 1]) + out[1:]
+            out[0].data[0] ^= 1
+            return out
+
+        monkeypatch.setattr(coder, target, flipped)
+        assert run("selftest") == 5
+        assert f"vector '{vector}' FAILED" in capsys.readouterr().err

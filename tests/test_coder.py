@@ -23,6 +23,7 @@ from stegosampler.coder import (
 )
 from stegosampler.models import (
     FEW_RUNS,
+    INT64_MAX,
     DegenerateModel,
     FixedModel,
     PixelDistribution,
@@ -185,6 +186,11 @@ class TestImages:
         for prc in (4, 7, 63, 70):
             with pytest.raises(ValueError, match="prc"):
                 extract_image(UniformModel(), grid, prc=prc, framed=False)
+        # the register itself holds 2 to 64 bits
+        assert (CoderState(prc=2).high, CoderState(prc=64).high) == (3, (1 << 64) - 1)
+        for prc in (1, 65):
+            with pytest.raises(ValueError, match="prc"):
+                CoderState(prc=prc)
 
 
 class TestLsbBaseline:
@@ -263,6 +269,11 @@ def with_runs(n):
     return [max(n - v, 1) for v in range(256)]
 
 
+# 256 runs whose top weight, 2^30, is nearly all of the total: at the int64 guard's edge its
+# product with the width falls just under 2^63
+EDGE = [1 << 30, *range(255, 0, -1)]
+
+
 def wide_weight_arrays():
     # up to 32-bit weights: totals reach just under 2^40, the model limit
     return (
@@ -288,10 +299,11 @@ def registers(draw):
 # the most runs that take Python ints, and one run more, which takes int64
 @example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
 @example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
-# widest int64 case: 33-bit width times 30-bit weights, products just under 2^63
-@example([(1 << 30) - 1 - v for v in range(256)], (33, 0, (1 << 33) - 2)).via("int64 path, edge")
-# one weight bit more: products reach 2^64, so the guard sends 256 runs to Python ints
-@example([(1 << 31) - 1 - v for v in range(256)], (33, 0, (1 << 33) - 2)).via("past the guard, edge")
+# widest int64 case: width times total, which bounds every product, at most 2^63 - 1
+@example(EDGE, (33, 0, INT64_MAX // sum(EDGE) - 1)).via("int64 path, edge")
+# one unit of width more: width times total passes 2^63 - 1, so the guard sends 256 runs to
+# Python ints
+@example(EDGE, (33, 0, INT64_MAX // sum(EDGE))).via("past the guard, edge")
 # past the guard: full 62-bit register, 32-bit weights, 256 runs
 @example([(1 << 32) - 1 - v for v in range(256)], (62, 0, (1 << 62) - 1)).via("past the guard")
 def test_quantize_matches_exact_oracle(weights, register):

@@ -179,6 +179,10 @@ class TestAggregate:
             "er_pixel": 6.0, "er_step": 2.0, "h_p": 4.0, "h_q": 3.0, "kld": 0.5, "jsd": 0.25
         }
 
+    def test_no_reports(self):
+        with pytest.raises(ValueError, match="at least one report"):
+            aggregate([])
+
     def test_csv_shape(self):
         reports = [fake_report([1, 1, 1, 1]) for _ in range(5)]
         buf = io.BytesIO()

@@ -193,6 +193,10 @@ class TestStream:
         with pytest.raises(BadMagic):
             load_stream(b"PSCM" + b"\x00" * 20)
 
+    def test_rejects_a_table_of_another_shape(self):
+        with pytest.raises(ValueError, match="steps, 256"):
+            StreamModel(np.ones((2, 255)))
+
     def test_corrupt(self):
         with pytest.raises(CorruptTable):
             load_stream(save_stream(np.ones((2, 256)), None)[:-3])
@@ -275,6 +279,10 @@ class TestWeightsFromFloats:
     def test_bad_sum(self):
         with pytest.raises(ValueError):
             weights_from_floats([0.5 / 256] * 256)
+
+    def test_needs_256_probabilities(self):
+        with pytest.raises(ValueError, match="256"):
+            weights_from_floats([1 / 255] * 255)
 
 
 @st.composite

@@ -63,6 +63,10 @@ class TestWrite:
         with pytest.raises(ValueError):
             ImageGrid(2, 2, 2, bytearray(8))
 
+    def test_rejects_data_of_another_length(self):
+        with pytest.raises(ValueError, match="data length"):
+            ImageGrid(2, 2, 3, bytearray(4))
+
     def test_file_roundtrip(self, tmp_path):
         g = ImageGrid(3, 1, 3, bytearray(range(9)))
         path = tmp_path / "x.ppm"
