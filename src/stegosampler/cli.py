@@ -2,8 +2,8 @@
 
 Exit codes, each with one `error:` line on stderr (5 with a `selftest:` line):
   2  an unreadable or invalid input file, a flag out of range, a model whose
-     channel count differs from the image's, an unwritable output, two outputs
-     on one path
+     channel count differs from the image's, an image too large to allocate, an
+     unwritable output, two outputs on one path
   3  capacity: the image cannot confirm the framed message
   4  extraction: a pixel the model cannot decode, or a truncated framed payload
   5  selftest: a golden vector gives other bits
@@ -25,13 +25,15 @@ EXIT_EXTRACTION = 4
 EXIT_SELFTEST = 5
 
 # Checked in order, so subclasses come before ValueError. Every input check in
-# the package raises a ValueError subclass or an OSError.
+# the package raises a ValueError subclass or an OSError; an image too large for
+# memory raises MemoryError.
 EXIT_CODES = {
     coder.CapacityExceeded: EXIT_CAPACITY,
     coder.UndecodablePixel: EXIT_EXTRACTION,
     bitio.TruncatedStream: EXIT_EXTRACTION,
     ValueError: EXIT_CONFIG,
     OSError: EXIT_CONFIG,
+    MemoryError: EXIT_CONFIG,
 }
 
 
@@ -263,7 +265,8 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except tuple(EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # a bare MemoryError has an empty message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
 
 

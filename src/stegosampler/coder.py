@@ -98,13 +98,14 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     Per-symbol widths are floored; the rounding deficit goes to the most
     probable symbol, which therefore always stays selectable. A distribution
     with at most FEW_RUNS runs, or one whose products could pass int64 (width
-    times total above INT64_MAX: high prc, totals near 2^40), is tiled in exact
-    Python ints; any other in one int64 numpy pass. Both give the same ends.
+    times the top weight above INT64_MAX: high prc, top weights near 2^40), is
+    tiled in exact Python ints; any other in one int64 numpy pass. Both give the
+    same ends.
     """
     width = state.width
     runs = dist.runs
     if runs is None:
-        if width * dist.total <= INT64_MAX:
+        if width * dist.top <= INT64_MAX:
             ends = (width * dist.run_w // dist.total * dist.run_len).cumsum().tolist()
             return QuantizedPartition(dist.order, dist.run_start, ends, width)
         runs = zip(dist.run_w.tolist(), dist.run_len.tolist())
@@ -120,9 +121,9 @@ def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
     returns (s, prefix)."""
     low1 = state.low + offset
     high1 = low1 + width - 1
-    diff = low1 ^ high1
-    s = state.prc if diff == 0 else state.prc - diff.bit_length()
-    prefix = low1 >> (state.prc - s) if s else 0
+    n = (low1 ^ high1).bit_length()  # the bits below the shared prefix
+    s = state.prc - n
+    prefix = low1 >> n
     mask = (1 << state.prc) - 1
     state.low = (low1 << s) & mask
     state.high = ((high1 << s) & mask) | ((1 << s) - 1)

@@ -43,7 +43,7 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     vals, mult, total, p = vals[row], mult[row], total[row], p[row]
     w = np.asarray(width_before, dtype=np.int64)
     # rows whose products w * run_w could pass int64 would wrap around: redo them exactly
-    big = total > INT64_MAX // w
+    big = vals[:, 0] > INT64_MAX // w
     ws = vals * w[:, None] // total[:, None]
     ws[big] = vals[big].astype(object) * w[big, None] // total[big, None]
     ws[:, 0] += w - (ws * mult).sum(axis=1)

@@ -10,7 +10,7 @@ import numpy as np
 from .pnm import BadMagic, ImageGrid, SequencePosition, read_bytes, write_bytes
 
 WEIGHT_TOTAL_LIMIT = 1 << 40  # headroom for interval multiplication at prc <= 62
-# products width * weight are exact in int64 when width * total is at most this
+# products width * weight are exact in int64 when width * top weight is at most this
 INT64_MAX = np.iinfo(np.int64).max
 
 MODEL_MAGIC = b"PSCM"
@@ -53,12 +53,14 @@ class PixelDistribution:
     The symbols sorted by weight fall into runs of equal weight, which the
     coder and the stats work over: run r holds ranks run_start[r] up to
     run_start[r + 1], each of weight run_w[r]. Rank 0, which takes the
-    rounding deficit, is always a run of its own, and run_start ends with 256.
-    With at most FEW_RUNS runs, runs holds each run's (run_w, run_len) as a
-    pair of Python ints; with more it is None.
+    rounding deficit, is always a run of its own, and run_start ends with 256;
+    top is its weight, run_w[0], as a Python int. With at most FEW_RUNS runs,
+    runs holds each run's (run_w, run_len) as a pair of Python ints; with more
+    it is None.
     """
 
-    __slots__ = ("weights", "total", "order", "rank", "run_start", "run_w", "run_len", "runs")
+    __slots__ = (
+        "weights", "total", "top", "order", "rank", "run_start", "run_w", "run_len", "runs")
 
     def __init__(self, weights, sorted_row=None):
         """`sorted_row` is what `_sort_rows` derived for these weights, if a table was sorted at once."""
@@ -70,12 +72,12 @@ class PixelDistribution:
                     raise ValueError("weights must be non-negative")
                 raise ValueError(f"total {int(w.sum())} outside (0, 2^40)")
         self.weights = w
-        (self.total, self.order, self.rank, self.run_start, self.run_w, self.run_len,
+        (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.run_len,
          self.runs) = sorted_row
 
 
 def _sort_rows(w: np.ndarray) -> list[tuple | None]:
-    """(total, order, rank, run_start, run_w, run_len, runs) of each row of
+    """(total, top, order, rank, run_start, run_w, run_len, runs) of each row of
     an int64 (n, 256) weight table, sorted in one pass; None for a row that is no distribution
     (a negative weight, or a total outside (0, 2^40)), whose sorted arrays are meaningless."""
     if w.ndim != 2 or w.shape[1] != 256:
@@ -101,10 +103,11 @@ def _sort_rows(w: np.ndarray) -> list[tuple | None]:
     run_w = sw[rows, run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
     run_len = run_start[:, 1:] - run_start[:, :-1]
     return [
-        (total, order[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r],
+        (total, top, order[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r],
          tuple(zip(run_w[i, :r].tolist(), run_len[i, :r].tolist())) if r <= FEW_RUNS else None)
         if ok else None
-        for i, (total, r, ok) in enumerate(zip(totals.tolist(), runs.tolist(), valid.tolist()))
+        for i, (total, top, r, ok) in enumerate(
+            zip(totals.tolist(), sw[:, 0].tolist(), runs.tolist(), valid.tolist()))
     ]
 
 

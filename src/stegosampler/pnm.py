@@ -1,6 +1,8 @@
 """Bit-exact PGM (P5) / PPM (P6) reading and writing, plus raster traversal."""
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -40,7 +42,15 @@ class ImageGrid:
 
     @classmethod
     def blank(cls, width: int, height: int, channels: int) -> "ImageGrid":
-        return cls(width, height, channels, bytearray(width * height * channels))
+        size = width * height * channels
+        shape = f"{width}x{height}x{channels} image"
+        if size > sys.maxsize:
+            raise ValueError(f"a {shape} needs {size} bytes, more than {sys.maxsize}")
+        try:
+            data = bytearray(size)
+        except MemoryError:
+            raise MemoryError(f"no memory for the {size} bytes of a {shape}") from None
+        return cls(width, height, channels, data)
 
     @property
     def steps(self) -> int:
@@ -66,23 +76,11 @@ def sequence_positions(width: int, height: int, channels: int) -> Iterator[Seque
                 i += 1
 
 
-def _tokens(buf: bytes) -> Iterator[tuple[bytes, int]]:
-    """Header tokens with the offset just past each token; '#' starts a comment."""
-    i = 0
-    n = len(buf)
-    while i < n:
-        c = buf[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and buf[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not buf[j : j + 1].isspace() and buf[j : j + 1] != b"#":
-                j += 1
-            yield buf[i:j], j
-            i = j
+# The header after the magic is width, height and maxval, each after a run of gaps, then
+# one gap before the raster. A gap is one whitespace byte, or a '#' comment with the
+# newline that ends it, so a comment may end the header.
+_GAP = rb"(?:\s|#[^\n]*\n)"
+_HEADER = re.compile((_GAP + rb"+(\d+)") * 3 + _GAP)
 
 
 def read_bytes(source) -> bytes:
@@ -108,35 +106,22 @@ def write_bytes(blob: bytes, sink) -> bytes:
 def read_image(source) -> ImageGrid:
     """Parse a binary PGM/PPM from bytes, a path, or a binary file object."""
     buf = read_bytes(source)
-    toks = _tokens(buf)
-    try:
-        magic, _ = next(toks)
-    except StopIteration:
-        raise BadMagic("empty input") from None
+    magic = buf[:2]
     if magic not in (b"P5", b"P6"):
-        raise BadMagic(f"not a binary PGM/PPM: {magic!r}")
-    channels = 1 if magic == b"P5" else 3
-
-    fields = []
-    end = 0
-    try:
-        for _ in range(3):
-            tok, end = next(toks)
-            fields.append(int(tok))
-    except (StopIteration, ValueError):
-        raise BadHeader("expected width, height, maxval") from None
-    width, height, maxval = fields
+        raise BadMagic(f"not a binary PGM/PPM: {magic!r}" if buf else "empty input")
+    header = _HEADER.match(buf, len(magic))
+    if header is None:
+        raise BadHeader("expected width, height, maxval")
+    width, height, maxval = map(int, header.groups())
     if width <= 0 or height <= 0:
         raise BadHeader(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise MaxvalUnsupported(f"maxval {maxval} (only 255 supported)")
-
-    # exactly one whitespace byte separates the header from the raster
-    data = buf[end + 1 :]
-    need = width * height * channels
-    if len(data) < need:
-        raise ShortData(f"need {need} raster bytes, have {len(data)}")
-    return ImageGrid(width, height, channels, bytearray(data[:need]))
+    channels = 1 if magic == b"P5" else 3
+    start, need = header.end(), width * height * channels
+    if len(buf) - start < need:
+        raise ShortData(f"need {need} raster bytes, have {len(buf) - start}")
+    return ImageGrid(width, height, channels, bytearray(buf[start : start + need]))
 
 
 def write_image(grid: ImageGrid, sink=None) -> bytes:

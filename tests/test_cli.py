@@ -238,6 +238,11 @@ BAD_INPUT_PROBES = {
     "--report {d}/x.pgm",
     "analyze-csv-and-entropy-map-one-path": ANALYZE.replace("{d}/e.pgm", "{d}/./a.csv")
     + " --uniform",
+    # 2^64 bytes: refused before anything is allocated
+    "embed-2^32-square": EMBED.replace("2 --height 2", "4294967296 --height 4294967296")
+    + " --uniform --out {d}/s.pgm",
+    "analyze-2^32-square": ANALYZE.replace("2 --height 2", "4294967296 --height 4294967296")
+    + " --uniform",
 }
 
 
@@ -247,6 +252,8 @@ PROBE_NAMES = {
     # refused up front, not by a later rename that finds the shared temporary gone
     "embed-out-and-report-one-path": "two outputs on one path: {d}/x.pgm {d}/x.pgm",
     "analyze-csv-and-entropy-map-one-path": "two outputs on one path: {d}/a.csv {d}/./a.csv",
+    "embed-2^32-square": "a 4294967296x4294967296x1 image needs 18446744073709551616 bytes",
+    "analyze-2^32-square": "a 4294967296x4294967296x1 image needs 18446744073709551616 bytes",
 }
 PROBE_LEAVES_NO = {
     "embed-report-missing-dir": ["{d}/s.pgm"],
@@ -269,6 +276,18 @@ def test_bad_input_exit_2(probe, bad_inputs, capsys):
     for path in PROBE_LEAVES_NO.get(probe, []):
         assert not os.path.exists(path.format(**bad_inputs))
     assert not [n for n in os.listdir(bad_inputs["d"]) if n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("no memory for the 10 bytes")])
+def test_out_of_memory_exits_2_with_one_line(error, bad_inputs, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(coder, "embed_image", no_memory)
+    argv = f"{EMBED} --uniform --out {{d}}/s.pgm".format(**bad_inputs).split()
+    assert cli.main(argv) == 2
+    assert assert_one_error_line(capsys) == f"error: {str(error) or 'MemoryError'}"
+    assert not os.path.exists(f"{bad_inputs['d']}/s.pgm")
 
 
 class TestAnalyze:

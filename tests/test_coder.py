@@ -270,7 +270,7 @@ def with_runs(n):
 
 
 # 256 runs whose top weight, 2^30, is nearly all of the total: at the int64 guard's edge its
-# product with the width falls just under 2^63
+# product with the width, the largest product of the int64 pass, falls just under 2^63
 EDGE = [1 << 30, *range(255, 0, -1)]
 
 
@@ -299,11 +299,11 @@ def registers(draw):
 # the most runs that take Python ints, and one run more, which takes int64
 @example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
 @example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
-# widest int64 case: width times total, which bounds every product, at most 2^63 - 1
-@example(EDGE, (33, 0, INT64_MAX // sum(EDGE) - 1)).via("int64 path, edge")
-# one unit of width more: width times total passes 2^63 - 1, so the guard sends 256 runs to
-# Python ints
-@example(EDGE, (33, 0, INT64_MAX // sum(EDGE))).via("past the guard, edge")
+# widest int64 case: width times the top weight, which bounds every product, at most 2^63 - 1
+@example(EDGE, (33, 0, INT64_MAX // EDGE[0] - 1)).via("int64 path, edge")
+# one unit of width more: width times the top weight passes 2^63 - 1, so the guard sends 256
+# runs to Python ints
+@example(EDGE, (33, 0, INT64_MAX // EDGE[0])).via("past the guard, edge")
 # past the guard: full 62-bit register, 32-bit weights, 256 runs
 @example([(1 << 32) - 1 - v for v in range(256)], (62, 0, (1 << 62) - 1)).via("past the guard")
 def test_quantize_matches_exact_oracle(weights, register):

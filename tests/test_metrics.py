@@ -24,7 +24,7 @@ from stegosampler.metrics import (
     step_stats,
     write_csv,
 )
-from stegosampler.models import FixedModel, PixelDistribution, StreamModel
+from stegosampler.models import INT64_MAX, FixedModel, PixelDistribution, StreamModel
 from stegosampler.pnm import ImageGrid, sequence_positions
 
 
@@ -147,8 +147,12 @@ def test_step_stats_mixes_the_int64_and_python_int_rows():
     # 2^62 units times a top weight near 2^32 is past the int64 guard; 2^20 units are not
     heavy = np.full(256, (1 << 32) - 1, dtype=np.int64)
     heavy[::2] = 3
-    dists = [PixelDistribution(heavy), PixelDistribution(np.arange(256) % 5)] * 3
-    widths = [1 << 62, 1 << 20, (1 << 62) - 12345, 1 << 20, 7, 1 << 62]
+    # a top weight of 2^30 at the guard's edge, on both sides: on the int64 side the width
+    # times the total passes 2^63 - 1
+    edge = PixelDistribution([1 << 30, *range(255, 0, -1)])
+    dists = [PixelDistribution(heavy), PixelDistribution(np.arange(256) % 5)] * 3 + [edge] * 2
+    widths = [1 << 62, 1 << 20, (1 << 62) - 12345, 1 << 20, 7, 1 << 62,
+              INT64_MAX // edge.top, INT64_MAX // edge.top + 1]
     got = step_stats(dists, np.array(widths))
     want = np.array([oracle_stats(d, w) for d, w in zip(dists, widths)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -110,7 +110,7 @@ class TestTraining:
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
                 for field in ("weights", "total", "order", "rank", "run_start", "run_w", "run_len"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
-                assert got.runs == want.runs, (left, up)
+                assert (got.top, got.runs) == (want.top, want.runs), (left, up)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_training_counts_the_rows_lookup_reads(self, channels):
@@ -226,7 +226,8 @@ class TestStream:
         for step in range(600):
             got = model.distribution(None, SequencePosition(step, 0, step, 0))
             want = PixelDistribution(table[step])
-            assert got.total == want.total
+            assert (got.total, got.top) == (want.total, want.top)
+            assert type(want.top) is int and want.top == want.run_w[0]
             for field in ("weights", "order", "rank", "run_start", "run_w", "run_len"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
             assert got.runs == want.runs, step

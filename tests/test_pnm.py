@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stegosampler.pnm import (
     BadHeader,
@@ -50,6 +50,45 @@ class TestRead:
     def test_file_object(self):
         g = read_image(io.BytesIO(b"P5 1 1 255\n\x2a"))
         assert g.data[0] == 42
+
+
+# a '#' comment runs to the newline, which it includes
+COMMENTS = st.binary(max_size=8).map(lambda c: b"#" + c.replace(b"\n", b"") + b"\n")
+# what may follow the magic, width and height: whitespace bytes and comments
+GAPS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c"]) | COMMENTS,
+                min_size=1, max_size=2).map(b"".join)
+# what may follow maxval: one whitespace byte, which may end a comment
+ENDS = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]) | COMMENTS
+
+
+class TestHeaderGrammar:
+    def test_comment_after_maxval_is_not_raster(self):
+        # the newline that ends the comment is the one whitespace byte before the raster
+        assert read_image(b"P5 1 1 255#c\n*").data == b"*"
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([(b"P5", 1), (b"P6", 3)]), st.integers(1, 3), st.integers(1, 3),
+           st.lists(GAPS, min_size=3, max_size=3), ENDS, st.data())
+    def test_any_legal_header_reads_the_raster_exactly(self, kind, w, h, gaps, end, data):
+        (magic, channels), (g1, g2, g3) = kind, gaps
+        raster = data.draw(st.binary(min_size=w * h * channels, max_size=w * h * channels))
+        raw = magic + g1 + b"%d" % w + g2 + b"%d" % h + g3 + b"255" + end + raster
+        g = read_image(raw)
+        assert (g.width, g.height, g.channels, bytes(g.data)) == (w, h, channels, raster)
+
+    @pytest.mark.parametrize("raw", [b" P5 1 1 255\n*", b"#c\nP5 1 1 255\n*"])
+    def test_bytes_before_the_magic(self, raw):
+        with pytest.raises(BadMagic):
+            read_image(raw)
+
+    @pytest.mark.parametrize("raw", [b"P5 +1 1 255\n*", b"P5 1_0 1 255\n" + bytes(10)])
+    def test_numbers_are_plain_digits(self, raw):
+        with pytest.raises(BadHeader):
+            read_image(raw)
+
+    def test_maxval_then_end_of_file(self):
+        with pytest.raises(BadHeader):
+            read_image(b"P5 1 1 255")
 
 
 class TestWrite:
