@@ -15,7 +15,7 @@ import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import INT64_MAX, PixelDistribution, StreamExhausted
+from .models import INT64_MAX, ONE_EACH, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -76,7 +76,9 @@ class QuantizedPartition(NamedTuple):
 
     order: np.ndarray  # permutation of 0..255, weight-descending, ties by value
     run_start: np.ndarray  # first rank of each run, then 256
-    ends: list[int]  # end of each run before the deficit; ends[-1] + deficit = width
+    # end of each run before the deficit; ends[-1] + deficit = width. Python ints, or an
+    # int64 array when each symbol is a run of its own and the int64 pass tiled it
+    ends: list[int] | np.ndarray
     width: int
 
     @property
@@ -99,14 +101,18 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     probable symbol, which therefore always stays selectable. A distribution
     with at most FEW_RUNS runs, or one whose products could pass int64 (width
     times the top weight above INT64_MAX: high prc, top weights near 2^40), is
-    tiled in exact Python ints; any other in one int64 numpy pass. Both give the
-    same ends.
+    tiled in exact Python ints; any other in one int64 numpy pass, whose ends
+    stay an int64 array when each symbol is a run of its own. All give the same
+    ends.
     """
     width = state.width
     runs = dist.runs
     if runs is None:
         if width * dist.top <= INT64_MAX:
-            ends = (width * dist.run_w // dist.total * dist.run_len).cumsum().tolist()
+            ends = width * dist.run_w // dist.total
+            if dist.run_len is ONE_EACH:
+                return QuantizedPartition(dist.order, dist.run_start, ends.cumsum(), width)
+            ends = (ends * dist.run_len).cumsum().tolist()
             return QuantizedPartition(dist.order, dist.run_start, ends, width)
         runs = zip(dist.run_w.tolist(), dist.run_len.tolist())
     total, end, ends = dist.total, 0, []
@@ -136,29 +142,45 @@ def _run_cell(dist: PixelDistribution, ends: list[int], deficit: int, r: int) ->
     return start, (ends[r] + deficit - start) // int(dist.run_len[r])
 
 
+def _symbol_cell(ends: np.ndarray, deficit: int, k: int) -> tuple[int, int]:
+    """(start, width) of rank k, as Python ints, where each symbol is a run of its own."""
+    start = int(ends[k - 1]) + deficit if k else 0
+    return start, int(ends[k]) + deficit - start
+
+
 def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
     width = state.width
     ends = quantize(dist, state).ends
-    deficit = width - ends[-1]
     x = msg.window(msg.confirmed_ptr, state.prc) - state.low
-    r = bisect_right(ends, x - deficit)  # the run, then the symbol within it
-    start, q_width = _run_cell(dist, ends, deficit, r)
-    i = (x - start) // q_width
-    s, _ = _apply(state, start + i * q_width, q_width)
+    if type(ends) is list:
+        deficit = width - ends[-1]
+        r = bisect_right(ends, x - deficit)  # the run, then the symbol within it
+        start, q_width = _run_cell(dist, ends, deficit, r)
+        i = (x - start) // q_width
+        k, start = int(dist.run_start[r]) + i, start + i * q_width
+    else:  # an int64 array: the run is the rank
+        deficit = width - int(ends[-1])
+        k = int(ends.searchsorted(x - deficit, side="right"))
+        start, q_width = _symbol_cell(ends, deficit, k)
+    s, _ = _apply(state, start, q_width)
     msg.confirmed_ptr += s
-    return StepRecord(int(dist.order[int(dist.run_start[r]) + i]), s, q_width, width)
+    return StepRecord(int(dist.order[k]), s, q_width, width)
 
 
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
     ends = quantize(dist, state).ends
     k = int(dist.rank[pixel])
-    r = bisect_right(dist.run_start, k) - 1
-    start, q_width = _run_cell(dist, ends, state.width - ends[-1], r)
+    if type(ends) is list:
+        r = bisect_right(dist.run_start, k) - 1
+        start, q_width = _run_cell(dist, ends, state.width - ends[-1], r)
+        start += (k - int(dist.run_start[r])) * q_width
+    else:  # an int64 array: the run is the rank
+        start, q_width = _symbol_cell(ends, state.width - int(ends[-1]), k)
     if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")
-    s, prefix = _apply(state, start + (k - int(dist.run_start[r])) * q_width, q_width)
+    s, prefix = _apply(state, start, q_width)
     return prefix, s
 
 

@@ -26,8 +26,8 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
 
     Step k's q is what `quantize` makes of dists[k] over width_before[k] units.
     Each distinct distribution (by identity) is read once, and its H(p) is
-    computed once; the ranks of each of its runs of equal weight, which get
-    equal q and p, are summed as one cell.
+    computed once; the ranks of each of its runs, which get equal q and p, are
+    summed as one cell, one rank to a cell where each symbol is a run of its own.
     """
     _, first, row = np.unique([id(d) for d in dists], return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]

@@ -18,9 +18,15 @@ STREAM_MAGIC = b"PSDS"
 MODEL_HEADER = "<HBBI"  # version, channels, buckets, smooth
 STREAM_HEADER = "<HI"  # version, steps
 STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
-# the most runs a distribution keeps as Python-int pairs, which `quantize` then walks in
-# Python ints: below about 20 runs that beats its one numpy pass, at 3 runs by about 3.5x
+# Up to FEW_RUNS runs of equal weight, a distribution also keeps its runs as Python-int pairs,
+# which `quantize` walks in Python ints: below about 20 runs that beats its one numpy pass, at 3
+# runs by about 3.5x. Above MANY_RUNS runs, each symbol is a run of its own: the run bookkeeping
+# then costs a stream step more than it saves, and a context's embed step no less.
 FEW_RUNS = 16
+MANY_RUNS = 64
+ALL_RANKS = np.arange(257)  # run_start of every distribution stored one symbol per run
+ONE_EACH = np.ones(256, dtype=np.int64)  # and its run_len
+ALL_RANKS.flags.writeable = ONE_EACH.flags.writeable = False
 
 
 class EmptyCorpus(ValueError):
@@ -50,13 +56,17 @@ class StreamExhausted(ValueError):
 class PixelDistribution:
     """256 non-negative integer weights; weights[v]/total is p(v).
 
-    The symbols sorted by weight fall into runs of equal weight, which the
-    coder and the stats work over: run r holds ranks run_start[r] up to
-    run_start[r + 1], each of weight run_w[r]. Rank 0, which takes the
-    rounding deficit, is always a run of its own, and run_start ends with 256;
-    top is its weight, run_w[0], as a Python int. With at most FEW_RUNS runs,
-    runs holds each run's (run_w, run_len) as a pair of Python ints; with more
-    it is None.
+    The symbols sorted by weight fall into runs, which the coder and the stats
+    work over: run r holds ranks run_start[r] up to run_start[r + 1], each of
+    weight run_w[r]. Rank 0, which takes the rounding deficit, is always a run
+    of its own, and run_start ends with 256; top is its weight, run_w[0], as a
+    Python int. The runs come in one of three layouts:
+
+    - at most FEW_RUNS runs of equal weight: runs also holds each run's
+      (run_w, run_len) as a pair of Python ints;
+    - at most MANY_RUNS: the runs of equal weight, and runs is None;
+    - more: one run per symbol, so run_w is the sorted weights, run_start and
+      run_len are the shared ALL_RANKS and ONE_EACH, and runs is None.
     """
 
     __slots__ = (
@@ -92,23 +102,27 @@ def _sort_rows(w: np.ndarray) -> list[tuple | None]:
     rows = np.arange(len(w))[:, None]
     rank = np.empty_like(order)  # inverse of order: order[rank[v]] == v
     rank[rows, order] = np.arange(256)
-    # runs: rank 0 alone, then each stretch of equal weight from rank 1 on. Every array is
-    # (n, 256) or (n, 257), so a stream's chunks reuse the same heap blocks; arrays sized by
-    # the number of runs left holes that later large allocations could not use.
+    # runs: rank 0 alone, then each stretch of equal weight from rank 1 on
     edge = np.ones((len(w), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]
     runs = edge.sum(axis=1) - 1
-    run_start = np.where(edge, np.arange(257), 256)
+    kept = np.flatnonzero(runs <= MANY_RUNS)  # the rows stored as runs of equal weight
+    run_start = np.where(edge[kept], np.arange(257), 256)
     run_start.sort(axis=1)  # a row's run starts, then 256 to the end of the row
-    run_w = sw[rows, run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
+    run_w = sw[kept[:, None], run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
     run_len = run_start[:, 1:] - run_start[:, :-1]
-    return [
-        (total, top, order[i], rank[i], run_start[i, : r + 1], run_w[i, :r], run_len[i, :r],
-         tuple(zip(run_w[i, :r].tolist(), run_len[i, :r].tolist())) if r <= FEW_RUNS else None)
-        if ok else None
-        for i, (total, top, r, ok) in enumerate(
-            zip(totals.tolist(), sw[:, 0].tolist(), runs.tolist(), valid.tolist()))
-    ]
+    kept_rows = iter(zip(run_start, run_w, run_len))
+    out = []
+    for i, (total, top, r, ok) in enumerate(
+            zip(totals.tolist(), sw[:, 0].tolist(), runs.tolist(), valid.tolist())):
+        if r > MANY_RUNS:
+            row = (total, top, order[i], rank[i], ALL_RANKS, sw[i], ONE_EACH, None)
+        else:
+            start, rw, rl = next(kept_rows)
+            row = (total, top, order[i], rank[i], start[: r + 1], rw[:r], rl[:r],
+                   tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None)
+        out.append(row if ok else None)
+    return out
 
 
 def _distributions(w: np.ndarray) -> list[PixelDistribution | None]:

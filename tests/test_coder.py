@@ -24,6 +24,7 @@ from stegosampler.coder import (
 from stegosampler.models import (
     FEW_RUNS,
     INT64_MAX,
+    MANY_RUNS,
     DegenerateModel,
     FixedModel,
     PixelDistribution,
@@ -272,6 +273,9 @@ def with_runs(n):
 # 256 runs whose top weight, 2^30, is nearly all of the total: at the int64 guard's edge its
 # product with the width, the largest product of the int64 pass, falls just under 2^63
 EDGE = [1 << 30, *range(255, 0, -1)]
+# the top two weights equal: at a width of 2^33, width times run_w[1] is 2^63 as well, so a
+# wrapped product no longer falls on run 0 alone, whose error the deficit would absorb
+TWIN_EDGE = [1 << 30, 1 << 30, *range(254, 0, -1)]
 
 
 def wide_weight_arrays():
@@ -299,11 +303,16 @@ def registers(draw):
 # the most runs that take Python ints, and one run more, which takes int64
 @example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
 @example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
+# the most runs kept as runs of equal weight, and one run more, stored one symbol per run
+@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("int64 path, MANY_RUNS runs")
+@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, one symbol per run")
 # widest int64 case: width times the top weight, which bounds every product, at most 2^63 - 1
 @example(EDGE, (33, 0, INT64_MAX // EDGE[0] - 1)).via("int64 path, edge")
 # one unit of width more: width times the top weight passes 2^63 - 1, so the guard sends 256
 # runs to Python ints
 @example(EDGE, (33, 0, INT64_MAX // EDGE[0])).via("past the guard, edge")
+# width times each of the top two weights is 2^63: a guard one unit looser wraps both
+@example(TWIN_EDGE, (33, 0, (1 << 33) - 1)).via("past the guard, two top weights at the edge")
 # past the guard: full 62-bit register, 32-bit weights, 256 runs
 @example([(1 << 32) - 1 - v for v in range(256)], (62, 0, (1 << 62) - 1)).via("past the guard")
 def test_quantize_matches_exact_oracle(weights, register):
@@ -317,10 +326,10 @@ def test_quantize_matches_exact_oracle(weights, register):
 
 @st.composite
 def run_weights(draw):
-    """256 weights drawn from up to 40 values, zeros included, so that runs are long and their
-    count falls on both sides of FEW_RUNS."""
+    """256 weights drawn from up to 256 values, zeros included, so that runs are long or short
+    and their count falls on both sides of FEW_RUNS and of MANY_RUNS."""
     bits = draw(st.sampled_from([2, 8, 24, 32]))
-    values = draw(st.lists(st.integers(1 << (bits - 1), (1 << bits) - 1), min_size=1, max_size=40))
+    values = draw(st.lists(st.integers(1 << (bits - 1), (1 << bits) - 1), min_size=1, max_size=256))
     w = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
     w[draw(st.integers(0, 255))] = values[0]  # total > 0
     return w
@@ -348,6 +357,9 @@ def clone(state):
 # the most runs that take Python ints, and one run more, which takes int64
 @example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
 @example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
+# the most runs kept as runs of equal weight, and one run more, stored one symbol per run
+@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("int64 path, MANY_RUNS runs")
+@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, one symbol per run")
 # a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("Python ints, zero tail")
 # many runs past the guard
@@ -370,10 +382,15 @@ def test_derived_cut_matches_the_oracle(weights, register):
 # the most runs that take Python ints, and one run more, which takes int64
 @example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("Python ints, FEW_RUNS runs")
 @example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, FEW_RUNS + 1 runs")
+# the most runs kept as runs of equal weight, and one run more, stored one symbol per run
+@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, MANY_RUNS runs")
+@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, one symbol per run")
 # a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1), 1 << 61).via("Python ints, zero tail")
 # many runs past the guard
 @example([(1 << 32) - 1 - v for v in range(256)], (62, 3, (1 << 62) - 1), 1 << 61).via("past the guard")
+# width times each of the top two weights is 2^63: a guard one unit looser wraps both
+@example(TWIN_EDGE, (33, 0, (1 << 33) - 1), 3 << 31).via("past the guard, two top weights at the edge")
 def test_run_steps_match_the_full_cut(weights, register, u):
     """embed_step and extract_step over runs give what bisecting the per-symbol `cut` gives."""
     prc, low, high = register

@@ -1,11 +1,12 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stegosampler import coder
+from stegosampler import coder, models
 from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
     CoderState,
@@ -24,7 +25,14 @@ from stegosampler.metrics import (
     step_stats,
     write_csv,
 )
-from stegosampler.models import INT64_MAX, FixedModel, PixelDistribution, StreamModel
+from stegosampler.models import (
+    INT64_MAX,
+    MANY_RUNS,
+    ONE_EACH,
+    FixedModel,
+    PixelDistribution,
+    StreamModel,
+)
 from stegosampler.pnm import ImageGrid, sequence_positions
 
 
@@ -156,6 +164,37 @@ def test_step_stats_mixes_the_int64_and_python_int_rows():
     got = step_stats(dists, np.array(widths))
     want = np.array([oracle_stats(d, w) for d, w in zip(dists, widths)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 62))
+def test_step_stats_of_one_symbol_rows_match_their_runs(seed, prc):
+    """A row with more than MANY_RUNS runs, stored one symbol per run, gets the stats it gets
+    stored as its runs of equal weight. A row with fewer keeps the very bits of its H(p). Its
+    other stats sum the chunk's nonzero widths padded to the widest row, which one symbol per
+    run can widen, and numpy's pairwise sums group padded rows of other lengths differently."""
+    rng = np.random.default_rng(seed)
+    table = []
+    # weights from up to 63 values (at most 64 runs) or from 120 to 256 (almost surely more)
+    for n in rng.permutation([*rng.integers(1, 64, 12), *rng.integers(120, 257, 12)]):
+        w = rng.choice(rng.integers(0, 1 << 24, n), 256)
+        w[rng.integers(256)] += 1  # total > 0
+        table.append(w)
+    widths = np.array([int(rng.integers(2, 1 << int(rng.integers(2, prc + 1)), endpoint=True))
+                       for _ in table])
+    got = step_stats([PixelDistribution(w) for w in table], widths)
+    with mock.patch.object(models, "MANY_RUNS", 256):  # every row stored as its runs
+        as_runs = [PixelDistribution(w) for w in table]
+        want = step_stats(as_runs, widths)
+    one_symbol = np.array([len(d.run_w) > MANY_RUNS for d in as_runs])
+    assert all((PixelDistribution(w).run_len is ONE_EACH) == m for w, m in zip(table, one_symbol))
+    np.testing.assert_array_equal(got[~one_symbol, 0], want[~one_symbol, 0])
+    # H(p) and H(q) sum terms of one sign: another summation order of up to 256 of them moves
+    # the sum by at most about 2 * 256 * 2^-53 of itself, under 1e-13. KLD and JSD sum terms of
+    # both signs that nearly cancel when q is close to p, so their error is absolute instead:
+    # the same factor times the sum of the terms' magnitudes, a few bits, under 1e-12.
+    np.testing.assert_allclose(got[:, :2], want[:, :2], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=1e-12, atol=1e-12)
 
 
 def fake_report(bits_per_step, w=2, h=2, c=1, h_p=1.0):

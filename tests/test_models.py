@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from stegosampler.corpus import stroke_corpus
 from stegosampler.models import (
+    ALL_RANKS,
+    MANY_RUNS,
+    ONE_EACH,
     BadMagic,
     ContextModel,
     CorruptTable,
@@ -218,11 +221,19 @@ class TestStream:
         rng = np.random.default_rng(4)
         table = rng.choice([0, 1, 3, 1 << 31], (600, 256))
         table[::7] = rng.integers(0, 1 << 32, (86, 256))
+        # from 17 to 256 values: rows on both sides of FEW_RUNS and of MANY_RUNS
+        for step in range(3, 600, 7):
+            table[step] = rng.choice(rng.integers(0, 1 << 20, step % 240 + 17), 256)
         table[:, 9] += 1
+        for step, runs in zip((5, 6, 12, 13), (FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1)):
+            table[step] = rng.permutation([max(runs - v, 1) for v in range(256)])  # `runs` runs
         table[300] = 0
         table[300, 17] = (1 << 40) - 1  # the largest weight a distribution can hold
         model = StreamModel(table)
         assert 600 % STREAM_CHUNK and 600 > 2 * STREAM_CHUNK
+        layouts = [len(runs_of(np.sort(row)[::-1])) for row in table]
+        assert {FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1} <= set(layouts)
+        assert max(layouts) > MANY_RUNS + 1
         for step in range(600):
             got = model.distribution(None, SequencePosition(step, 0, step, 0))
             want = PixelDistribution(table[step])
@@ -235,6 +246,11 @@ class TestStream:
             assert np.array_equal(want.order, order)
             assert np.array_equal(want.rank, np.argsort(order))
             runs = runs_of(table[step][order])
+            if len(runs) > MANY_RUNS:  # one symbol per run
+                assert want.run_start is ALL_RANKS and want.run_len is ONE_EACH, step
+                assert np.array_equal(want.run_w, table[step][order]), step
+                assert want.runs is None, step
+                continue
             assert runs == list(zip(want.run_start, want.run_w, want.run_len))
             if len(runs) > FEW_RUNS:
                 assert want.runs is None, step
