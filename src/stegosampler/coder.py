@@ -19,7 +19,10 @@ from .models import INT64_MAX, ONE_EACH, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
-STATS_CHUNK = 256  # steps per step_stats call when embed_image collects stats
+# embed_image weighs the steps whose stats it has not filled in yet every STATS_CHUNK steps;
+# one step_stats call takes at most STATS_CELLS cells (see _PendingStats)
+STATS_CHUNK = 256
+STATS_CELLS = STATS_CHUNK * 256
 PRC_MIN, PRC_MAX = 8, 62
 
 
@@ -150,8 +153,8 @@ def _symbol_cell(ends: np.ndarray, deficit: int, k: int) -> tuple[int, int]:
 
 def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
-    width = state.width
-    ends = quantize(dist, state).ends
+    part = quantize(dist, state)
+    ends, width = part.ends, part.width
     x = msg.window(msg.confirmed_ptr, state.prc) - state.low
     if type(ends) is list:
         deficit = width - ends[-1]
@@ -170,14 +173,15 @@ def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> St
 
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
-    ends = quantize(dist, state).ends
+    part = quantize(dist, state)
+    ends, width = part.ends, part.width
     k = int(dist.rank[pixel])
     if type(ends) is list:
         r = bisect_right(dist.run_start, k) - 1
-        start, q_width = _run_cell(dist, ends, state.width - ends[-1], r)
+        start, q_width = _run_cell(dist, ends, width - ends[-1], r)
         start += (k - int(dist.run_start[r])) * q_width
     else:  # an int64 array: the run is the rank
-        start, q_width = _symbol_cell(ends, state.width - int(ends[-1]), k)
+        start, q_width = _symbol_cell(ends, width - int(ends[-1]), k)
     if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")
     s, prefix = _apply(state, start, q_width)
@@ -200,6 +204,56 @@ def _check_run(model, channels: int, prc: int) -> None:
         raise ChannelMismatch(f"model has {trained} channel(s), image has {channels}")
 
 
+def _cells(steps: int, widest: int, distinct: int) -> int:
+    return max(steps * widest, distinct * 256)
+
+
+class _PendingStats:
+    """The steps of one embed whose stats are not filled in yet, and their distributions.
+
+    A step_stats call over a chunk of steps builds tables of its steps times its widest row
+    of runs, and the chunk holds its distinct distributions, 256 values each: its cells are
+    the larger of the two, and stay within STATS_CELLS. The steps coded since the last
+    `weigh` join the chunk, after it gets its stats if they would take it past that; and a
+    chunk that another STATS_CHUNK steps like them would take past it gets its stats at once.
+    Between weighs a step costs one append. So a desk image of 3-run rows takes one call,
+    and rows of 256 runs or a stream's distinct rows take 256 steps a call.
+    """
+
+    def __init__(self, steps: np.ndarray):
+        self.steps = steps
+        self.dists: list[PixelDistribution] = []  # of steps first, first + 1, ...; `fill`
+        # trims it in place, so embed_image appends to this one list
+        self.first = 0
+        self.weighed = 0  # dists[:weighed] form the chunk
+        self.widest = 0  # the most runs of a row in the chunk
+        self.ids: set[int] = set()  # the ids of its distinct distributions
+
+    def weigh(self) -> int:
+        """Take the steps coded since the last call into the chunk; returns the length of
+        `dists` at which the next call is due."""
+        new = {id(d): d for d in self.dists[self.weighed :]}
+        block = max((len(d.run_w) for d in new.values()), default=0)
+        widest, ids = max(self.widest, block), self.ids | new.keys()
+        if _cells(len(self.dists), widest, len(ids)) > STATS_CELLS:
+            self.fill(self.weighed)
+            widest, ids = block, set(new)
+        if _cells(len(self.dists) + STATS_CHUNK, widest, len(ids) + len(new)) > STATS_CELLS:
+            self.fill(len(self.dists))
+            widest, ids = 0, set()
+        self.widest, self.ids, self.weighed = widest, ids, len(self.dists)
+        return self.weighed + STATS_CHUNK
+
+    def fill(self, n: int) -> None:
+        """Fill in the stats of the first n pending steps in one step_stats call."""
+        if n:
+            chunk = self.steps[self.first : self.first + n]
+            for name, col in zip(STATS, step_stats(self.dists[:n], chunk["width_before"]).T):
+                chunk[name] = col
+            del self.dists[:n]
+            self.first += n
+
+
 def embed_image(
     model,
     width: int,
@@ -217,21 +271,22 @@ def embed_image(
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
     steps = np.empty(grid.steps, STEP_DTYPE)
-    dists = []  # the distributions of the steps whose stats are not filled in yet
+    pending = _PendingStats(steps)
+    held, due = pending.dists, STATS_CHUNK
     try:
         for pos in sequence_positions(width, height, channels):
             dist = model.distribution(grid, pos)
             steps[pos.index] = rec = embed_step(state, dist, msg)
             grid.data[pos.index] = rec.pixel_value
             if collect:
-                dists.append(dist)
-                if len(dists) == STATS_CHUNK or pos.index == grid.steps - 1:
-                    chunk = steps[pos.index + 1 - len(dists) : pos.index + 1]
-                    for name, col in zip(STATS, step_stats(dists, chunk["width_before"]).T):
-                        chunk[name] = col
-                    dists = []
+                held.append(dist)
+                if len(held) == due:
+                    due = pending.weigh()
     except StreamExhausted as e:
         raise _located(e, pos, prc) from None
+    if collect:
+        pending.weigh()
+        pending.fill(len(held))
     state.check()
     if framed and msg.confirmed_ptr < bits.length:
         raise CapacityExceeded(

@@ -21,6 +21,12 @@ class ShapeMismatch(ValueError):
     pass
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each row of a float table, added left to right. A row padded with zeros keeps
+    its sum, whereas numpy's pairwise `sum` groups a row's terms by the table's width."""
+    return np.cumsum(a, axis=1)[:, -1]
+
+
 def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> np.ndarray:
     """(H(p), H(q), D_KL(q||p), D_JS(q||p)) in bits per step of a chunk, as an (n, 4) array.
 
@@ -28,8 +34,10 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     Each distinct distribution (by identity) is read once, and its H(p) is
     computed once; the ranks of each of its runs, which get equal q and p, are
     summed as one cell, one rank to a cell where each symbol is a run of its own.
+    A step's stats are bit for bit the same whatever other steps share its chunk.
     """
-    _, first, row = np.unique([id(d) for d in dists], return_index=True, return_inverse=True)
+    ids = np.fromiter(map(id, dists), np.uintp, len(dists))
+    _, first, row = np.unique(ids, return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]
     runs = max(len(d.run_w) for d in uniq)
     vals = np.zeros((len(uniq), runs), dtype=np.int64)
@@ -39,7 +47,7 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
         mult[j, : len(d.run_len)] = d.run_len
     total = np.array([d.total for d in uniq])
     p = vals / total[:, None]
-    h_p = -(mult * p * np.log2(p, out=np.zeros_like(p), where=vals > 0)).sum(axis=1)
+    h_p = -_row_sums(mult * p * np.log2(p, out=np.zeros_like(p), where=vals > 0))
     vals, mult, total, p = vals[row], mult[row], total[row], p[row]
     w = np.asarray(width_before, dtype=np.int64)
     # rows whose products w * run_w could pass int64 would wrap around: redo them exactly
@@ -54,12 +62,12 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
         raise AbsoluteContinuityViolated("quantized mass on a zero-weight symbol")
     q = ws / w[:, None]
     ratio = np.divide(q, p, out=np.ones_like(q), where=nz)  # 1 where q = 0
-    h_q = -(mult * q * np.log2(q, out=np.zeros_like(q), where=nz)).sum(axis=1)
-    kld = (mult * q * np.log2(ratio)).sum(axis=1)
+    h_q = -_row_sums(mult * q * np.log2(q, out=np.zeros_like(q), where=nz))
+    kld = _row_sums(mult * q * np.log2(ratio))
     # With m = (p + q)/2, q·log2(q/m) + p·log2(p/m) = q·log2(q/p) - (p + q)·log2(m/p): 0 where
     # q = 0, and there p·log2(p/m) is exactly p, summed as the mass of p outside q.
     outside = (total - np.where(nz, vals * mult, 0).sum(axis=1)) / total
-    jsd = 0.5 * (kld - (mult * (p + q) * np.log2(0.5 + 0.5 * ratio)).sum(axis=1) + outside)
+    jsd = 0.5 * (kld - _row_sums(mult * (p + q) * np.log2(0.5 + 0.5 * ratio)) + outside)
     return np.column_stack([h_p[row], h_q, kld, jsd])
 
 

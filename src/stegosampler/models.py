@@ -273,8 +273,9 @@ def train_context_model(
     return model
 
 
-def _read_header(source, magic: bytes, fmt: str) -> tuple[list[int], bytes]:
-    """(header fields after the version, body) of a version-1 container of `source`."""
+def _read_header(source, magic: bytes, fmt: str) -> tuple[list[int], memoryview]:
+    """(header fields after the version, body) of a version-1 container of `source`; the body
+    is a view of the bytes read, so loading holds one copy of the file."""
     buf = read_bytes(source)
     if buf[:4] != magic:
         raise BadMagic(f"expected {magic!r}, got {buf[:4]!r}")
@@ -284,7 +285,7 @@ def _read_header(source, magic: bytes, fmt: str) -> tuple[list[int], bytes]:
     version, *fields = struct.unpack(fmt, buf[4:end])
     if version != 1:
         raise UnsupportedVersion(f"version {version}")
-    return fields, buf[end:]
+    return fields, memoryview(buf)[end:]
 
 
 def save_model(model: ContextModel, sink) -> bytes:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from itertools import count, product, repeat
+from operator import add
 from typing import Iterator, NamedTuple
 
 
@@ -67,13 +69,12 @@ class SequencePosition(NamedTuple):
 
 
 def sequence_positions(width: int, height: int, channels: int) -> Iterator[SequencePosition]:
-    """Positions in coding order: row-major, channels interleaved per pixel."""
-    i = 0
-    for row in range(height):
-        for col in range(width):
-            for ch in range(channels):
-                yield SequencePosition(i, row, col, ch)
-                i += 1
+    """Positions in coding order: row-major, channels interleaved per pixel.
+
+    Built from C iterators, so a position costs no Python frame: each (index,) + (row, col,
+    channel) becomes a SequencePosition through tuple.__new__, as its own constructor makes it."""
+    coords = product(range(height), range(width), range(channels))
+    return map(tuple.__new__, repeat(SequencePosition), map(add, zip(count()), coords))
 
 
 # The header after the magic is width, height and maxval, each after a run of gaps, then

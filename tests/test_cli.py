@@ -1,10 +1,13 @@
 import csv
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stegosampler
 from stegosampler import cli, coder, corpus, models, pnm
 
 
@@ -312,6 +315,15 @@ class TestSelftest:
     def test_passes(self, capsys):
         assert run("selftest") == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(stegosampler.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "stegosampler", "selftest"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "pass" in done.stdout
 
     def test_detects_perturbed_quantizer(self, monkeypatch, capsys):
         real = coder.quantize

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from stegosampler import coder, models
 from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
+    STATS_CELLS,
+    STATS_CHUNK,
     CoderState,
     StepRecord,
     embed_image,
@@ -197,6 +199,63 @@ def test_step_stats_of_one_symbol_rows_match_their_runs(seed, prc):
     np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(stats_chunk(), st.integers(0, 2**32 - 1))
+def test_a_steps_stats_do_not_depend_on_its_chunk(chunk, seed):
+    """Each step's four stats are bit for bit those it gets alone, whatever rows of other widths
+    share its chunk: rows of a few runs are padded to the widest row, up to 256 cells."""
+    dists, widths = chunk
+    rng = np.random.default_rng(seed)
+    for n in rng.integers(1, 9, 8):  # rows drawn from 1 to 8 values: at most 9 runs
+        w = rng.choice(rng.integers(1, 1 << 24, n), 256)
+        dists.append(PixelDistribution(w))
+        widths.append(int(rng.integers(1, max(widths), endpoint=True)))
+    order = rng.permutation(len(dists))
+    dists, widths = [dists[i] for i in order], np.array(widths)[order]
+    got = step_stats(dists, widths)
+    alone = np.array([step_stats([d], [w])[0] for d, w in zip(dists, widths)])
+    assert got.tobytes() == alone.tobytes()
+
+
+class PlannedModel:
+    """One kind of row for each STATS_CHUNK steps: a shared 3-run row, a shared 256-run row, or
+    a distribution of a few runs made afresh at every step, as a stream's are."""
+
+    NARROW = PixelDistribution(np.arange(256) % 3 + 1)
+    WIDE = PixelDistribution(np.arange(256) * 7 + 1)
+
+    def __init__(self, plan, seed):
+        self.plan, self.rng, self.seen = plan, np.random.default_rng(seed), []
+
+    def distribution(self, prefix, pos):
+        kind = self.plan[pos.index // STATS_CHUNK]
+        d = (self.NARROW, self.WIDE)[kind] if kind < 2 else PixelDistribution(
+            self.rng.choice([1, 5, 90, 1000], 256))
+        self.seen.append(d)
+        return d
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=5, max_size=5), st.integers(0, 2**32 - 1))
+def test_stats_chunks_stay_within_their_cells(plan, seed):
+    """Whatever rows come next, no step_stats call passes STATS_CELLS: its steps times its widest
+    row, or 256 per distinct distribution. The chunking moves no stat."""
+    calls = []
+    real = coder.step_stats
+
+    def counted(dists, widths):
+        calls.append((len(dists), max(len(d.run_w) for d in dists), len(set(map(id, dists)))))
+        return real(dists, widths)
+
+    model = PlannedModel(plan, seed)
+    with mock.patch.object(coder, "step_stats", counted):
+        _, rep = embed_image(model, 40, 30, 1, b"", framed=False, pad_seed=seed, collect=True)
+    assert sum(n for n, _, _ in calls) == 40 * 30
+    assert all(max(n * runs, distinct * 256) <= STATS_CELLS for n, runs, distinct in calls)
+    want = step_stats(model.seen, rep.steps.width_before)
+    assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
+
+
 def fake_report(bits_per_step, w=2, h=2, c=1, h_p=1.0):
     records = [StepRecord(0, s, 1, 2, h_p=h_p, h_q=h_p, kld=0.0, jsd=0.0) for s in bits_per_step]
     return EmbedReport(w, h, c, 26, records)
@@ -307,11 +366,32 @@ class TestSteps:
             np.testing.assert_allclose([row[name] for name in STATS], want, rtol=0, atol=1e-12)
 
     def test_stats_come_in_chunks(self, monkeypatch):
-        calls = []
+        """One step_stats call takes MODEL's 272 narrow rows; rows of 256 runs go 256 a call,
+        each filled in before the model is asked for the next step, so no more are held."""
+        calls, asked = [], []  # (steps, most runs, distinct, last step asked for); steps asked
         real = coder.step_stats
-        monkeypatch.setattr(coder, "step_stats", lambda d, w: calls.append(len(d)) or real(d, w))
-        embed(collect=True)
-        assert calls == [256, W * H - 256]
+
+        def counted(dists, widths):
+            runs = max(len(d.run_w) for d in dists)
+            calls.append((len(dists), runs, len(set(map(id, dists))), asked[-1]))
+            return real(dists, widths)
+
+        def asking(model):
+            ask = model.distribution
+            model.distribution = lambda grid, pos: asked.append(pos.index) or ask(grid, pos)
+            return model
+
+        monkeypatch.setattr(coder, "step_stats", counted)
+        embed(collect=True, model=asking(FixedModel(MODEL.distribution(None, None).weights)))
+        assert [(n, last) for n, _, _, last in calls] == [(W * H, W * H - 1)]
+        rng = np.random.default_rng(4)
+        wide = FixedModel(rng.permutation(256) + 1)  # 256 runs, one symbol each
+        stream = StreamModel([rng.permutation(256) + 1 for _ in range(W * H)])
+        for model in (wide, stream):
+            calls.clear()
+            embed(collect=True, model=asking(model))
+            assert [(n, last) for n, _, _, last in calls] == [(256, 255), (W * H - 256, W * H - 1)]
+            assert all(max(n * runs, distinct * 256) <= STATS_CELLS for n, runs, distinct, _ in calls)
         calls.clear()
         embed(collect=False)
         assert calls == []

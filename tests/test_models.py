@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,28 @@ class TestSerialization:
         path = tmp_path / "m.pscm"
         save_model(model, path)
         assert load_model(path).channels == 3
+
+
+@pytest.mark.parametrize("kind", ["stream", "model"])
+def test_loading_holds_one_copy_of_the_file(kind, tmp_path):
+    """A load keeps a view of the bytes it read as its table: from a path it peaks at about one
+    file size, and from bytes it allocates next to nothing."""
+    path = tmp_path / "big"
+    if kind == "stream":
+        save_stream(np.ones((1 << 14, 256), dtype=np.int64), path)  # 16 MiB
+        load = load_stream
+    else:
+        save_model(ContextModel(1, 90), path)  # 91^2 contexts of 256 u64: 16.2 MiB
+        load = load_model
+    size = path.stat().st_size
+    for source, most in ((path, 1.05 * size), (path.read_bytes(), 0.05 * size)):
+        tracemalloc.start()
+        try:
+            load(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < most, f"peak {peak} B loading a {size} B file from {type(source).__name__}"
 
 
 def runs_of(sorted_weights) -> list[tuple[int, int, int]]:
