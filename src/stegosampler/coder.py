@@ -19,10 +19,12 @@ from .models import INT64_MAX, ONE_EACH, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
-# embed_image weighs the steps whose stats it has not filled in yet every STATS_CHUNK steps;
-# one step_stats call takes at most STATS_CELLS cells (see _PendingStats)
+# With stats collected, embed_image holds each step's distribution until one step_stats call
+# fills in their stats: once it holds STATS_CHUNK distinct distributions, counted every
+# STATS_CHUNK steps, or STATS_HELD steps, and at the last step. A held stream distribution
+# keeps its chunk of the stream alive, and a call's per-step arrays grow with its steps.
 STATS_CHUNK = 256
-STATS_CELLS = STATS_CHUNK * 256
+STATS_HELD = 16 * STATS_CHUNK
 PRC_MIN, PRC_MAX = 8, 62
 
 
@@ -204,54 +206,12 @@ def _check_run(model, channels: int, prc: int) -> None:
         raise ChannelMismatch(f"model has {trained} channel(s), image has {channels}")
 
 
-def _cells(steps: int, widest: int, distinct: int) -> int:
-    return max(steps * widest, distinct * 256)
-
-
-class _PendingStats:
-    """The steps of one embed whose stats are not filled in yet, and their distributions.
-
-    A step_stats call over a chunk of steps builds tables of its steps times its widest row
-    of runs, and the chunk holds its distinct distributions, 256 values each: its cells are
-    the larger of the two, and stay within STATS_CELLS. The steps coded since the last
-    `weigh` join the chunk, after it gets its stats if they would take it past that; and a
-    chunk that another STATS_CHUNK steps like them would take past it gets its stats at once.
-    Between weighs a step costs one append. So a desk image of 3-run rows takes one call,
-    and rows of 256 runs or a stream's distinct rows take 256 steps a call.
-    """
-
-    def __init__(self, steps: np.ndarray):
-        self.steps = steps
-        self.dists: list[PixelDistribution] = []  # of steps first, first + 1, ...; `fill`
-        # trims it in place, so embed_image appends to this one list
-        self.first = 0
-        self.weighed = 0  # dists[:weighed] form the chunk
-        self.widest = 0  # the most runs of a row in the chunk
-        self.ids: set[int] = set()  # the ids of its distinct distributions
-
-    def weigh(self) -> int:
-        """Take the steps coded since the last call into the chunk; returns the length of
-        `dists` at which the next call is due."""
-        new = {id(d): d for d in self.dists[self.weighed :]}
-        block = max((len(d.run_w) for d in new.values()), default=0)
-        widest, ids = max(self.widest, block), self.ids | new.keys()
-        if _cells(len(self.dists), widest, len(ids)) > STATS_CELLS:
-            self.fill(self.weighed)
-            widest, ids = block, set(new)
-        if _cells(len(self.dists) + STATS_CHUNK, widest, len(ids) + len(new)) > STATS_CELLS:
-            self.fill(len(self.dists))
-            widest, ids = 0, set()
-        self.widest, self.ids, self.weighed = widest, ids, len(self.dists)
-        return self.weighed + STATS_CHUNK
-
-    def fill(self, n: int) -> None:
-        """Fill in the stats of the first n pending steps in one step_stats call."""
-        if n:
-            chunk = self.steps[self.first : self.first + n]
-            for name, col in zip(STATS, step_stats(self.dists[:n], chunk["width_before"]).T):
-                chunk[name] = col
-            del self.dists[:n]
-            self.first += n
+def _fill(steps: np.ndarray, held: list[PixelDistribution]) -> None:
+    """Fill in the stats of the held steps, the last len(held) of `steps`, and let them go."""
+    rows = steps[len(steps) - len(held) :]
+    for name, col in zip(STATS, step_stats(held, rows["width_before"]).T):
+        rows[name] = col
+    held.clear()
 
 
 def embed_image(
@@ -271,8 +231,7 @@ def embed_image(
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
     steps = np.empty(grid.steps, STEP_DTYPE)
-    pending = _PendingStats(steps)
-    held, due = pending.dists, STATS_CHUNK
+    held, ids = [], set()  # the distributions of the steps without stats, and their ids
     try:
         for pos in sequence_positions(width, height, channels):
             dist = model.distribution(grid, pos)
@@ -280,13 +239,15 @@ def embed_image(
             grid.data[pos.index] = rec.pixel_value
             if collect:
                 held.append(dist)
-                if len(held) == due:
-                    due = pending.weigh()
+                if not len(held) % STATS_CHUNK:
+                    ids.update(map(id, held[-STATS_CHUNK:]))
+                    if len(ids) >= STATS_CHUNK or len(held) == STATS_HELD:
+                        _fill(steps[: pos.index + 1], held)
+                        ids.clear()
     except StreamExhausted as e:
         raise _located(e, pos, prc) from None
     if collect:
-        pending.weigh()
-        pending.fill(len(held))
+        _fill(steps, held)
     state.check()
     if framed and msg.confirmed_ptr < bits.length:
         raise CapacityExceeded(

@@ -21,6 +21,9 @@ class ShapeMismatch(ValueError):
     pass
 
 
+STATS_CELLS = 256 * 256  # the most cells of one step_stats table
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """The sum of each row of a float table, added left to right. A row padded with zeros keeps
     its sum, whereas numpy's pairwise `sum` groups a row's terms by the table's width."""
@@ -28,18 +31,28 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> np.ndarray:
-    """(H(p), H(q), D_KL(q||p), D_JS(q||p)) in bits per step of a chunk, as an (n, 4) array.
+    """(H(p), H(q), D_KL(q||p), D_JS(q||p)) in bits per step, as an (n, 4) array.
 
     Step k's q is what `quantize` makes of dists[k] over width_before[k] units.
     Each distinct distribution (by identity) is read once, and its H(p) is
     computed once; the ranks of each of its runs, which get equal q and p, are
     summed as one cell, one rank to a cell where each symbol is a run of its own.
-    A step's stats are bit for bit the same whatever other steps share its chunk.
+    The tables are the steps times the most runs of a distribution: steps that
+    would take them past STATS_CELLS go in slices that stay within it. A step's
+    stats are bit for bit the same whatever other steps share its slice.
     """
+    if not len(dists):
+        return np.empty((0, 4))
     ids = np.fromiter(map(id, dists), np.uintp, len(dists))
     _, first, row = np.unique(ids, return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]
     runs = max(len(d.run_w) for d in uniq)
+    per = STATS_CELLS // runs
+    if len(dists) > per:
+        out = np.empty((len(dists), 4))
+        for i in range(0, len(dists), per):
+            out[i : i + per] = step_stats(dists[i : i + per], width_before[i : i + per])
+        return out
     vals = np.zeros((len(uniq), runs), dtype=np.int64)
     mult = np.zeros((len(uniq), runs), dtype=np.int64)
     for j, d in enumerate(uniq):

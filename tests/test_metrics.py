@@ -4,13 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stegosampler import coder, models
+from stegosampler import coder, metrics, models
 from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
-    STATS_CELLS,
     STATS_CHUNK,
+    STATS_HELD,
     CoderState,
     StepRecord,
     embed_image,
@@ -19,6 +19,7 @@ from stegosampler.coder import (
 )
 from stegosampler.metrics import (
     STATS,
+    STATS_CELLS,
     AbsoluteContinuityViolated,
     EmbedReport,
     ShapeMismatch,
@@ -153,6 +154,10 @@ def test_step_stats_matches_per_step_formula(chunk):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_step_stats_of_no_steps():
+    assert step_stats([], []).shape == (0, 4)
+
+
 def test_step_stats_mixes_the_int64_and_python_int_rows():
     # 2^62 units times a top weight near 2^32 is past the int64 guard; 2^20 units are not
     heavy = np.full(256, (1 << 32) - 1, dtype=np.int64)
@@ -235,23 +240,35 @@ class PlannedModel:
         return d
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=5, max_size=5), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=17, max_size=17), st.integers(0, 2**32 - 1))
+@example([0, 1] * 8 + [2], 0)  # fills at STATS_HELD, of 256-run rows among others
 def test_stats_chunks_stay_within_their_cells(plan, seed):
-    """Whatever rows come next, no step_stats call passes STATS_CELLS: its steps times its widest
-    row, or 256 per distinct distribution. The chunking moves no stat."""
-    calls = []
-    real = coder.step_stats
+    """Whatever rows come next, no step_stats table passes STATS_CELLS, its steps times its
+    widest row; embed_image holds fewer than 2 * STATS_CHUNK distinct distributions and at most
+    STATS_HELD steps. Neither moves a stat."""
+    calls, depth = [], [0]  # (depth, steps, widest row, distinct) of each call, in call order
+    real = metrics.step_stats
 
-    def counted(dists, widths):
-        calls.append((len(dists), max(len(d.run_w) for d in dists), len(set(map(id, dists)))))
-        return real(dists, widths)
+    def traced(dists, widths):
+        runs = max((len(d.run_w) for d in dists), default=0)
+        calls.append((depth[0], len(dists), runs, len(set(map(id, dists)))))
+        depth[0] += 1
+        try:
+            return real(dists, widths)
+        finally:
+            depth[0] -= 1
 
     model = PlannedModel(plan, seed)
-    with mock.patch.object(coder, "step_stats", counted):
-        _, rep = embed_image(model, 40, 30, 1, b"", framed=False, pad_seed=seed, collect=True)
-    assert sum(n for n, _, _ in calls) == 40 * 30
-    assert all(max(n * runs, distinct * 256) <= STATS_CELLS for n, runs, distinct in calls)
+    with mock.patch.object(coder, "step_stats", traced), mock.patch.object(
+        metrics, "step_stats", traced
+    ):
+        _, rep = embed_image(model, 70, 60, 1, b"", framed=False, pad_seed=seed, collect=True)
+    fills = [c for c in calls if c[0] == 0]
+    tables = [c for c, after in zip(calls, calls[1:] + [(0,)]) if after[0] <= c[0]]
+    assert sum(n for _, n, _, _ in fills) == 70 * 60
+    assert all(n <= STATS_HELD and distinct < 2 * STATS_CHUNK for _, n, _, distinct in fills)
+    assert all(n * runs <= STATS_CELLS for _, n, runs, _ in tables)
     want = step_stats(model.seen, rep.steps.width_before)
     assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
 
@@ -326,7 +343,7 @@ class TestHeatmaps:
 
 
 MODEL = FixedModel(np.arange(1, 257) % 7 + 1)
-W, H = 17, 16  # 272 steps: stats in two chunks
+W, H = 17, 16  # 272 steps: one STATS_CHUNK and 16 more
 
 
 def embed(collect, prc=26, model=MODEL):
@@ -366,14 +383,14 @@ class TestSteps:
             np.testing.assert_allclose([row[name] for name in STATS], want, rtol=0, atol=1e-12)
 
     def test_stats_come_in_chunks(self, monkeypatch):
-        """One step_stats call takes MODEL's 272 narrow rows; rows of 256 runs go 256 a call,
-        each filled in before the model is asked for the next step, so no more are held."""
-        calls, asked = [], []  # (steps, most runs, distinct, last step asked for); steps asked
+        """One step_stats call takes all 272 steps of one shared row, narrow or of 256 runs; a
+        stream's distinct rows go 256 a call, each filled in before the model is asked for the
+        next step, so no more are held."""
+        calls, asked = [], []  # (steps, last step asked for); steps asked
         real = coder.step_stats
 
         def counted(dists, widths):
-            runs = max(len(d.run_w) for d in dists)
-            calls.append((len(dists), runs, len(set(map(id, dists))), asked[-1]))
+            calls.append((len(dists), asked[-1]))
             return real(dists, widths)
 
         def asking(model):
@@ -382,19 +399,32 @@ class TestSteps:
             return model
 
         monkeypatch.setattr(coder, "step_stats", counted)
-        embed(collect=True, model=asking(FixedModel(MODEL.distribution(None, None).weights)))
-        assert [(n, last) for n, _, _, last in calls] == [(W * H, W * H - 1)]
         rng = np.random.default_rng(4)
+        narrow = FixedModel(MODEL.distribution(None, None).weights)
         wide = FixedModel(rng.permutation(256) + 1)  # 256 runs, one symbol each
-        stream = StreamModel([rng.permutation(256) + 1 for _ in range(W * H)])
-        for model in (wide, stream):
+        for model in (narrow, wide):
             calls.clear()
             embed(collect=True, model=asking(model))
-            assert [(n, last) for n, _, _, last in calls] == [(256, 255), (W * H - 256, W * H - 1)]
-            assert all(max(n * runs, distinct * 256) <= STATS_CELLS for n, runs, distinct, _ in calls)
+            assert calls == [(W * H, W * H - 1)]
+        calls.clear()
+        stream = StreamModel([rng.permutation(256) + 1 for _ in range(W * H)])
+        embed(collect=True, model=asking(stream))
+        assert calls == [(256, 255), (W * H - 256, W * H - 1)]
         calls.clear()
         embed(collect=False)
         assert calls == []
+
+    @pytest.mark.parametrize("w, h, c", [(16, 16, 1), (32, 32, 3)])
+    def test_streams_of_whole_chunks_fill_every_stat(self, w, h, c):
+        """A stream of a multiple of STATS_CHUNK steps holds nothing after its last chunk."""
+        table = np.random.default_rng(w).integers(1, 1 << 12, (w * h * c, 256))
+        model, seen = StreamModel(table), []
+        ask = model.distribution
+        model.distribution = lambda grid, pos: seen.append(ask(grid, pos)) or seen[-1]
+        _, rep = embed_image(model, w, h, c, b"", framed=False, pad_seed=5, collect=True)
+        got = np.column_stack([rep.steps[name] for name in STATS])
+        assert not np.isnan(got).any()
+        assert got.tobytes() == step_stats(seen, rep.steps.width_before).tobytes()
 
     def test_uncollected_stats_are_nan(self):
         _, rep = embed(collect=False)

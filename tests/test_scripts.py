@@ -1,0 +1,51 @@
+"""Smoke runs of the scripts under scripts/, each as a subprocess with tiny arguments."""
+import csv
+import os
+import subprocess
+import sys
+
+import pytest
+
+import stegosampler
+from stegosampler import corpus, pnm
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def run_script(name, *args, cwd):
+    src = os.path.dirname(os.path.dirname(stegosampler.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args], capture_output=True, text=True,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("rgb", [False, True], ids=["gray", "rgb"])
+def test_make_corpus_writes_the_stroke_corpus(tmp_path, rgb):
+    out = run_script("make_corpus.py", "--out", "c", "--count", "3", "--width", "9",
+                     "--height", "7", "--seed", "4", *(["--rgb"] if rgb else []), cwd=tmp_path)
+    assert out == ["wrote 3 images to c"]
+    ext, channels = ("ppm", 3) if rgb else ("pgm", 1)
+    want = corpus.stroke_corpus(3, 9, 7, channels, seed=4)
+    got = [pnm.read_image(str(tmp_path / "c" / f"stroke_{i:05d}.{ext}")) for i in range(3)]
+    assert [(g.width, g.height, g.channels, bytes(g.data)) for g in got] == [
+        (9, 7, channels, bytes(w.data)) for w in want]
+    assert len(os.listdir(tmp_path / "c")) == 3
+
+
+def test_run_desk_eval_prints_and_writes_its_summary(tmp_path):
+    out = run_script("run_desk_eval.py", "--count", "3", "--corpus-size", "20", cwd=tmp_path)
+    assert out[0].startswith("trained on 20 stroke images in ")
+    assert [line.split()[0] for line in out[1:8]] == [
+        "arithmetic-coding", "ER", "KLD", "JSD", "LSB", "ER", "KLD"]
+    assert out[2].endswith(" bpp") and out[6].endswith(" bits/step")
+    assert out[-2].startswith("entropy/bits position correlation: ")
+    assert out[-1] == "wrote desk_eval.csv, entropy_map.pgm, bits_map.pgm"
+    with open(tmp_path / "desk_eval.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[0] for row in rows] == ["image", "img_0000", "img_0001", "img_0002", "mean", "std"]
+    for name in ("entropy_map.pgm", "bits_map.pgm"):
+        img = pnm.read_image(str(tmp_path / name))
+        assert (img.width, img.height, img.channels) == (28, 28, 1)
