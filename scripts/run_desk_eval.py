@@ -71,9 +71,10 @@ def main():
             for pos in pnm.sequence_positions(args.width, args.height, 1)
         ]
         lsb_klds.append(float(np.mean(klds)))
+    er, kld = metrics.mean_std(lsb_ers), metrics.mean_std(lsb_klds)
     print("LSB rejection baseline:")
-    print(f"  ER   {np.mean(lsb_ers):.4f} +/- {np.std(lsb_ers, ddof=1):.4f} bits/step")
-    print(f"  KLD  {np.mean(lsb_klds):.4e} +/- {np.std(lsb_klds, ddof=1):.4e} bit")
+    print(f"  ER   {er[0]:.4f} +/- {er[1]:.4f} bits/step")
+    print(f"  KLD  {kld[0]:.4e} +/- {kld[1]:.4e} bit")
 
     metrics.write_csv(reports, [f"img_{i:04d}" for i in range(args.count)], args.out_csv)
     ent_map, bits_map = metrics.heatmaps(reports)

@@ -151,19 +151,22 @@ class EmbedReport:
         return [name, len(self.steps), *rates, *(self._mean(f) for f in STATS)]
 
 
+def mean_std(vals) -> tuple[float, float]:
+    """Mean and sample std (ddof=1; 0 for a single sample) of a non-empty sequence."""
+    vals = np.asarray(vals, dtype=np.float64)
+    return float(vals.mean()), float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+
+
 def _summary(rows: Sequence[list]) -> dict[str, tuple[float, float]]:
-    """Mean and sample std (ddof=1; 0 for a single row) of the rate columns of CSV rows."""
+    """`mean_std` of each rate column of CSV rows."""
     if not rows:
         raise ValueError("need at least one report")
     table = np.array([row[3:] for row in rows])
-    return {
-        key: (float(vals.mean()), float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)
-        for key, vals in zip(CSV_HEADER[3:], table.T)
-    }
+    return {key: mean_std(vals) for key, vals in zip(CSV_HEADER[3:], table.T)}
 
 
 def aggregate(reports: Sequence[EmbedReport]) -> dict[str, tuple[float, float]]:
-    """Mean and sample std (ddof=1; 0 for a single report) of the rate columns."""
+    """`mean_std` of each rate column over the reports."""
     return _summary([rep.row("") for rep in reports])
 
 

@@ -18,10 +18,13 @@ STREAM_MAGIC = b"PSDS"
 MODEL_HEADER = "<HBBI"  # version, channels, buckets, smooth
 STREAM_HEADER = "<HI"  # version, steps
 STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
-# Up to FEW_RUNS runs of equal weight, a distribution also keeps its runs as Python-int pairs,
-# which `quantize` walks in Python ints: below about 20 runs that beats its one numpy pass, at 3
-# runs by about 3.5x. Above MANY_RUNS runs, each symbol is a run of its own: the run bookkeeping
-# then costs a stream step more than it saves, and a context's embed step no less.
+# Layouts of a distribution that serves many steps, as a context's does. Up to FEW_RUNS runs of
+# equal weight, it also keeps its runs as Python-int pairs, which `quantize` walks in Python
+# ints: below about 20 runs that beats its one numpy pass, at 3 runs by about 3.5x. Above
+# MANY_RUNS runs, each symbol is a run of its own: the run bookkeeping then costs a context's
+# embed step no less than it saves. A stream's distribution serves one step, too few to win back
+# the pass over its chunk that finds the runs, so a stream stores every row one symbol per run,
+# whatever its run count.
 FEW_RUNS = 16
 MANY_RUNS = 64
 ALL_RANKS = np.arange(257)  # run_start of every distribution stored one symbol per run
@@ -65,46 +68,64 @@ class PixelDistribution:
     - at most FEW_RUNS runs of equal weight: runs also holds each run's
       (run_w, run_len) as a pair of Python ints;
     - at most MANY_RUNS: the runs of equal weight, and runs is None;
-    - more: one run per symbol, so run_w is the sorted weights, run_start and
-      run_len are the shared ALL_RANKS and ONE_EACH, and runs is None.
+    - more, or any number for a distribution that serves one step, as a
+      stream's does: one run per symbol, so run_w is the sorted weights,
+      run_start and run_len are the shared ALL_RANKS and ONE_EACH, and runs
+      is None.
     """
 
     __slots__ = (
         "weights", "total", "top", "order", "rank", "run_start", "run_w", "run_len", "runs")
 
     def __init__(self, weights, sorted_row=None):
-        """`sorted_row` is what `_sort_rows` derived for these weights, if a table was sorted at once."""
-        w = np.asarray(weights, dtype=np.int64)
+        """`sorted_row` is what `_distributions` derived for these weights, an int64 row of
+        the table it sorted at once: (total, top, order, rank, run_start, run_w, run_len,
+        runs). Without it the weights are sorted here and stored as their runs."""
         if sorted_row is None:
-            (sorted_row,) = _sort_rows(w[None])
-            if sorted_row is None:
-                if w.min() < 0:
+            weights = np.asarray(weights, dtype=np.int64)
+            (total,), (top,), (ok,), sw, order, rank = _sort_rows(weights[None])
+            if not ok:
+                if weights.min() < 0:
                     raise ValueError("weights must be non-negative")
-                raise ValueError(f"total {int(w.sum())} outside (0, 2^40)")
-        self.weights = w
+                raise ValueError(f"total {total} outside (0, 2^40)")
+            sorted_row = (total, top, order[0], rank[0], *_run_layout(sw)[0])
+        self.weights = weights
         (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.run_len,
          self.runs) = sorted_row
 
 
-def _sort_rows(w: np.ndarray) -> list[tuple | None]:
-    """(total, top, order, rank, run_start, run_w, run_len, runs) of each row of
-    an int64 (n, 256) weight table, sorted in one pass; None for a row that is no distribution
-    (a negative weight, or a total outside (0, 2^40)), whose sorted arrays are meaningless."""
+def _sort_rows(w: np.ndarray) -> tuple:
+    """The shared sort of an int64 (n, 256) weight table, one pass for all rows:
+    (totals, tops, valid, sw, order, rank). Each row's total and top weight are Python
+    ints, and valid says whether it is a distribution at all (no negative weight, a total
+    in (0, 2^40)); an invalid row's sorted arrays are meaningless. sw holds each row's
+    weights in descending order, ties by ascending value, order the symbols in that order,
+    and rank its inverse, order[rank[v]] == v, each as an (n, 256) array."""
     if w.ndim != 2 or w.shape[1] != 256:
         raise ValueError("need exactly 256 weights")
     totals = w.sum(axis=1)
     valid = (w.min(axis=1) >= 0) & (totals > 0) & (totals < WEIGHT_TOTAL_LIMIT)
     # symbols sorted by weight descending, ties by ascending value: every weight is below
-    # 2^40, so one sort of (weight << 8 | 255 - value) keys, read backwards, gives both
-    key = np.sort(w << 8 | np.arange(255, -1, -1), axis=1)[:, ::-1]
-    sw = key >> 8  # non-increasing
-    order = 255 - (key & 255)
-    rows = np.arange(len(w))[:, None]
-    rank = np.empty_like(order)  # inverse of order: order[rank[v]] == v
-    rank[rows, order] = np.arange(256)
-    # runs: rank 0 alone, then each stretch of equal weight from rank 1 on
-    edge = np.ones((len(w), 257), dtype=bool)  # edge[:, 256] ends the last run
-    edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]
+    # 2^40, and ~ reverses the order of weights, so one sort of (~weight << 8 | value) keys
+    # gives both
+    key = ~w
+    key <<= 8
+    key |= np.arange(256)
+    key.sort(axis=1)
+    order = key & 255
+    key >>= 8
+    sw = np.invert(key, out=key)  # non-increasing
+    rank = np.empty_like(order)  # one flat scatter: rank[i, order[i, k]] = k
+    rank.ravel()[order + 256 * np.arange(len(w))[:, None]] = np.arange(256)
+    return totals.tolist(), sw[:, 0].tolist(), valid.tolist(), sw, order, rank
+
+
+def _run_layout(sw: np.ndarray) -> list[tuple]:
+    """(run_start, run_w, run_len, runs) of each row of a sorted weight table, for a
+    distribution that serves many steps: its runs of equal weight, as pairs of Python
+    ints too up to FEW_RUNS runs, and one symbol per run above MANY_RUNS."""
+    edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
+    edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
     runs = edge.sum(axis=1) - 1
     kept = np.flatnonzero(runs <= MANY_RUNS)  # the rows stored as runs of equal weight
     run_start = np.where(edge[kept], np.arange(257), 256)
@@ -113,23 +134,30 @@ def _sort_rows(w: np.ndarray) -> list[tuple | None]:
     run_len = run_start[:, 1:] - run_start[:, :-1]
     kept_rows = iter(zip(run_start, run_w, run_len))
     out = []
-    for i, (total, top, r, ok) in enumerate(
-            zip(totals.tolist(), sw[:, 0].tolist(), runs.tolist(), valid.tolist())):
+    for row, r in zip(sw, runs.tolist()):
         if r > MANY_RUNS:
-            row = (total, top, order[i], rank[i], ALL_RANKS, sw[i], ONE_EACH, None)
-        else:
-            start, rw, rl = next(kept_rows)
-            row = (total, top, order[i], rank[i], start[: r + 1], rw[:r], rl[:r],
-                   tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None)
-        out.append(row if ok else None)
+            out.append((ALL_RANKS, row, ONE_EACH, None))
+            continue
+        start, rw, rl = next(kept_rows)
+        out.append((start[: r + 1], rw[:r], rl[:r],
+                    tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None))
     return out
 
 
-def _distributions(w: np.ndarray) -> list[PixelDistribution | None]:
-    """A PixelDistribution per row of an int64 (n, 256) weight table, sorted in one pass;
-    None for a row that is no distribution, which PixelDistribution(row) raises on."""
-    rows = _sort_rows(w)
-    return [None if row is None else PixelDistribution(w[i], row) for i, row in enumerate(rows)]
+def _one_symbol_per_run(sw: np.ndarray) -> list[tuple]:
+    """(run_start, run_w, run_len, runs) of each row of a sorted weight table, for a
+    distribution that serves one step: one symbol per run, with no run bookkeeping."""
+    return [(ALL_RANKS, row, ONE_EACH, None) for row in sw]
+
+
+def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:
+    """A PixelDistribution per row of an int64 (n, 256) weight table, sorted in one pass and
+    laid out by `layout`; None for a row that is no distribution, which PixelDistribution(row)
+    raises on."""
+    totals, tops, valid, sw, order, rank = _sort_rows(w)
+    return [PixelDistribution(row, (total, top, o, r, *runs)) if ok else None
+            for row, total, top, ok, o, r, runs
+            in zip(w, totals, tops, valid, order, rank, layout(sw))]
 
 
 class FixedModel:
@@ -184,7 +212,7 @@ class StreamModel:
                 raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
             self._chunk = []  # the old chunk goes before the next is built
             w = np.asarray(self.table[pos.index : pos.index + STREAM_CHUNK], dtype=np.int64)
-            self._chunk = _distributions(w)
+            self._chunk = _distributions(w, _one_symbol_per_run)
             self._first, i = pos.index, 0
         # a step whose weights are no distribution raises only when asked for
         return self._chunk[i] or PixelDistribution(self.table[pos.index])
@@ -241,7 +269,7 @@ class ContextModel:
         seen = np.flatnonzero(counts.any(axis=1))
         w = np.zeros((len(seen) + 1, 256), dtype=np.int64)  # the last row: an unseen context
         w[:-1] = counts[seen]
-        *dists, unseen = _distributions(w + self.smooth)
+        *dists, unseen = _distributions(w + self.smooth, _run_layout)
         self._dists = [unseen] * len(counts)
         for row, d in zip(seen.tolist(), dists):
             self._dists[row] = d

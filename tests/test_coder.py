@@ -28,6 +28,7 @@ from stegosampler.models import (
     DegenerateModel,
     FixedModel,
     PixelDistribution,
+    StreamModel,
     UniformModel,
     train_context_model,
 )
@@ -451,6 +452,64 @@ def test_steps_keep_interval_invariants(dists, prc, payload, seed):
         assert s == rec.bits_confirmed
         assert prefix == msg.window(ptr, s)
         assert (receiver.low, receiver.high) == (sender.low, sender.high)
+
+
+class RowsAloneModel:
+    """Serves PixelDistribution(table[i]) at step i: each row sorted alone and stored as its
+    runs, as a distribution that serves many steps is."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def distribution(self, prefix, pos):
+        return PixelDistribution(self.table[pos.index])
+
+
+@st.composite
+def stream_tables(draw):
+    """(steps, 256) stream weights below 2^32, each row drawn from 1 to 256 distinct values
+    (zeros included), over up to 384 steps, so that a stream takes a partial chunk or two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 384))):
+        bits = int(rng.integers(1, 33))
+        values = rng.integers(0, 1 << bits, int(rng.integers(1, 257)))
+        w = np.concatenate([values, rng.choice(values, 256 - len(values))])
+        w[0] += w.sum() == 0  # total > 0
+        rows.append(rng.permutation(w))
+    return np.array(rows)
+
+
+def coded(model, steps, payload, prc, framed, seed):
+    """(image, step records) of a steps x 1 embed with stats, or the error it raised."""
+    try:
+        grid, rep = embed_image(model, steps, 1, 1, payload, prc=prc, framed=framed,
+                                pad_seed=seed, collect=True)
+    except CapacityExceeded as e:
+        return str(e), None
+    return bytes(grid.data), rep.steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(stream_tables(), st.integers(8, 62), st.booleans(), st.binary(max_size=8),
+       st.integers(0, 2**64 - 1))
+def test_stream_codes_what_rows_sorted_alone_code(weights, prc, framed, payload, seed):
+    """A stream, whose rows are stored one symbol per run, embeds and extracts the bits of a
+    model that sorts each step's row alone and stores it as its runs."""
+    got = coded(StreamModel(weights), len(weights), payload, prc, framed, seed)
+    want = coded(RowsAloneModel(weights), len(weights), payload, prc, framed, seed)
+    assert got[0] == want[0]
+    if want[1] is None:  # both ran out of capacity alike
+        return
+    for field in ("pixel_value", "bits_confirmed", "q_width", "width_before"):
+        assert np.array_equal(got[1][field], want[1][field]), field
+    # the tolerances of test_step_stats_of_one_symbol_rows_match_their_runs
+    for field, atol in (("h_p", 0), ("h_q", 0), ("kld", 1e-12), ("jsd", 1e-12)):
+        np.testing.assert_allclose(got[1][field], want[1][field], rtol=1e-12, atol=atol,
+                                   err_msg=field)
+    grid = ImageGrid(len(weights), 1, 1, bytearray(got[0]))
+    assert extract_image(StreamModel(weights), grid, prc, framed) == extract_image(
+        RowsAloneModel(weights), grid, prc, framed)
 
 
 def test_check_raises_without_assert():

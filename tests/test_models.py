@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stegosampler.corpus import stroke_corpus
+from stegosampler.coder import CoderState, quantize
 from stegosampler.models import (
     ALL_RANKS,
+    INT64_MAX,
     MANY_RUNS,
     ONE_EACH,
     BadMagic,
@@ -240,6 +242,9 @@ class TestStream:
             save_stream(table, None)
 
     def test_chunks_build_what_single_rows_build(self):
+        """A stream's distribution serves one step, so each chunk row is stored one symbol per
+        run, whatever its run count, and tiles to what the row alone, stored as its runs,
+        tiles to."""
         # 600 steps: whole chunks and a partial one; weights from a few values, so runs are long
         rng = np.random.default_rng(4)
         table = rng.choice([0, 1, 3, 1 << 31], (600, 256))
@@ -256,30 +261,27 @@ class TestStream:
         assert 600 % STREAM_CHUNK and 600 > 2 * STREAM_CHUNK
         layouts = [len(runs_of(np.sort(row)[::-1])) for row in table]
         assert {FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1} <= set(layouts)
-        assert max(layouts) > MANY_RUNS + 1
+        assert min(layouts) < FEW_RUNS and max(layouts) > MANY_RUNS + 1
+        states = [CoderState(8), CoderState(26, low=12345, high=(1 << 26) - 7), CoderState(62)]
+        past_int64 = {state.prc: 0 for state in states}  # steps tiled in Python ints
         for step in range(600):
             got = model.distribution(None, SequencePosition(step, 0, step, 0))
             want = PixelDistribution(table[step])
             assert (got.total, got.top) == (want.total, want.top)
-            assert type(want.top) is int and want.top == want.run_w[0]
-            for field in ("weights", "order", "rank", "run_start", "run_w", "run_len"):
+            assert type(got.top) is int and got.top == want.run_w[0]
+            for field in ("weights", "order", "rank"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
-            assert got.runs == want.runs, step
             order = np.argsort(-table[step], kind="stable")
-            assert np.array_equal(want.order, order)
-            assert np.array_equal(want.rank, np.argsort(order))
-            runs = runs_of(table[step][order])
-            if len(runs) > MANY_RUNS:  # one symbol per run
-                assert want.run_start is ALL_RANKS and want.run_len is ONE_EACH, step
-                assert np.array_equal(want.run_w, table[step][order]), step
-                assert want.runs is None, step
-                continue
-            assert runs == list(zip(want.run_start, want.run_w, want.run_len))
-            if len(runs) > FEW_RUNS:
-                assert want.runs is None, step
-            else:
-                assert want.runs == tuple((w, n) for _, w, n in runs), step
-                assert all(type(x) is int for pair in want.runs for x in pair), step
+            assert np.array_equal(got.order, order)
+            assert np.array_equal(got.rank, np.argsort(order))
+            assert got.run_start is ALL_RANKS and got.run_len is ONE_EACH, step
+            assert np.array_equal(got.run_w, table[step][order]), step
+            assert got.runs is None, step
+            for state in states:
+                past_int64[state.prc] += state.width * got.top > INT64_MAX
+                assert quantize(got, state).cut == quantize(want, state).cut, (step, state.prc)
+        # at prc 62 every row (top weight >= 2), at prc 26 the row of top weight 2^40 - 1
+        assert past_int64 == {8: 0, 26: 1, 62: 600}
 
     def test_invalid_step_raises_when_asked_for(self):
         table = np.ones((300, 256), dtype=np.int64)

@@ -19,12 +19,12 @@ def run_script(name, *args, cwd):
         [sys.executable, os.path.join(SCRIPTS, name), *args], capture_output=True, text=True,
         cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    return done.stdout.splitlines(), done.stderr
 
 
 @pytest.mark.parametrize("rgb", [False, True], ids=["gray", "rgb"])
 def test_make_corpus_writes_the_stroke_corpus(tmp_path, rgb):
-    out = run_script("make_corpus.py", "--out", "c", "--count", "3", "--width", "9",
+    out, _ = run_script("make_corpus.py", "--out", "c", "--count", "3", "--width", "9",
                      "--height", "7", "--seed", "4", *(["--rgb"] if rgb else []), cwd=tmp_path)
     assert out == ["wrote 3 images to c"]
     ext, channels = ("ppm", 3) if rgb else ("pgm", 1)
@@ -36,7 +36,7 @@ def test_make_corpus_writes_the_stroke_corpus(tmp_path, rgb):
 
 
 def test_run_desk_eval_prints_and_writes_its_summary(tmp_path):
-    out = run_script("run_desk_eval.py", "--count", "3", "--corpus-size", "20", cwd=tmp_path)
+    out, _ = run_script("run_desk_eval.py", "--count", "3", "--corpus-size", "20", cwd=tmp_path)
     assert out[0].startswith("trained on 20 stroke images in ")
     assert [line.split()[0] for line in out[1:8]] == [
         "arithmetic-coding", "ER", "KLD", "JSD", "LSB", "ER", "KLD"]
@@ -49,3 +49,15 @@ def test_run_desk_eval_prints_and_writes_its_summary(tmp_path):
     for name in ("entropy_map.pgm", "bits_map.pgm"):
         img = pnm.read_image(str(tmp_path / name))
         assert (img.width, img.height, img.channels) == (28, 28, 1)
+
+
+def test_run_desk_eval_of_one_image_has_no_spread(tmp_path):
+    """One image per method: every std is 0, the LSB baseline's as the arithmetic coder's."""
+    out, err = run_script("run_desk_eval.py", "--count", "1", "--corpus-size", "20", cwd=tmp_path)
+    assert err == ""
+    assert out[5:8] == [
+        "LSB rejection baseline:",
+        "  ER   1.0000 +/- 0.0000 bits/step",
+        out[7].split(" +/- ")[0] + " +/- 0.0000e+00 bit",
+    ]
+    assert out[2].endswith(" +/- 0.0000 bpp")
