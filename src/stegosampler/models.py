@@ -136,7 +136,7 @@ def _run_layout(sw: np.ndarray) -> list[tuple]:
     out = []
     for row, r in zip(sw, runs.tolist()):
         if r > MANY_RUNS:
-            out.append((ALL_RANKS, row, ONE_EACH, None))
+            out.append(_one_symbol_per_run(row))
             continue
         start, rw, rl = next(kept_rows)
         out.append((start[: r + 1], rw[:r], rl[:r],
@@ -144,10 +144,10 @@ def _run_layout(sw: np.ndarray) -> list[tuple]:
     return out
 
 
-def _one_symbol_per_run(sw: np.ndarray) -> list[tuple]:
-    """(run_start, run_w, run_len, runs) of each row of a sorted weight table, for a
-    distribution that serves one step: one symbol per run, with no run bookkeeping."""
-    return [(ALL_RANKS, row, ONE_EACH, None) for row in sw]
+def _one_symbol_per_run(row: np.ndarray) -> tuple:
+    """(run_start, run_w, run_len, runs) of a sorted weight row stored one symbol per run,
+    with no run bookkeeping: so is every row of a distribution that serves one step."""
+    return ALL_RANKS, row, ONE_EACH, None
 
 
 def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:
@@ -212,7 +212,7 @@ class StreamModel:
                 raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
             self._chunk = []  # the old chunk goes before the next is built
             w = np.asarray(self.table[pos.index : pos.index + STREAM_CHUNK], dtype=np.int64)
-            self._chunk = _distributions(w, _one_symbol_per_run)
+            self._chunk = _distributions(w, lambda sw: map(_one_symbol_per_run, sw))
             self._first, i = pos.index, 0
         # a step whose weights are no distribution raises only when asked for
         return self._chunk[i] or PixelDistribution(self.table[pos.index])

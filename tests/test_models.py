@@ -244,7 +244,7 @@ class TestStream:
     def test_chunks_build_what_single_rows_build(self):
         """A stream's distribution serves one step, so each chunk row is stored one symbol per
         run, whatever its run count, and tiles to what the row alone, stored as its runs,
-        tiles to."""
+        tiles to. The row alone keeps the layout of its run count."""
         # 600 steps: whole chunks and a partial one; weights from a few values, so runs are long
         rng = np.random.default_rng(4)
         table = rng.choice([0, 1, 3, 1 << 31], (600, 256))
@@ -277,6 +277,19 @@ class TestStream:
             assert got.run_start is ALL_RANKS and got.run_len is ONE_EACH, step
             assert np.array_equal(got.run_w, table[step][order]), step
             assert got.runs is None, step
+            # the standalone distribution serves many steps, so it keeps its runs
+            runs = runs_of(table[step][order])
+            if len(runs) > MANY_RUNS:  # one symbol per run
+                assert want.run_start is ALL_RANKS and want.run_len is ONE_EACH, step
+                assert np.array_equal(want.run_w, table[step][order]), step
+                assert want.runs is None, step
+            else:
+                assert runs == list(zip(want.run_start, want.run_w, want.run_len)), step
+                if len(runs) > FEW_RUNS:
+                    assert want.runs is None, step
+                else:
+                    assert want.runs == tuple((w, n) for _, w, n in runs), step
+                    assert all(type(x) is int for pair in want.runs for x in pair), step
             for state in states:
                 past_int64[state.prc] += state.width * got.top > INT64_MAX
                 assert quantize(got, state).cut == quantize(want, state).cut, (step, state.prc)
