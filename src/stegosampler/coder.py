@@ -9,13 +9,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import INT64_MAX, ONE_EACH, PixelDistribution, StreamExhausted
+from .models import INT64_MAX, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -26,6 +26,7 @@ DEFAULT_PRC = 26
 STATS_CHUNK = 256
 STATS_HELD = 16 * STATS_CHUNK
 PRC_MIN, PRC_MAX = 8, 62
+NO_STATS = tuple(StepRecord._field_defaults.values())  # a step's stats before they are filled in
 
 
 class CapacityExceeded(ValueError):
@@ -79,8 +80,8 @@ class QuantizedPartition(NamedTuple):
     spans ends[r - 1] + deficit up to ends[r] + deficit.
     """
 
-    order: np.ndarray  # permutation of 0..255, weight-descending, ties by value
-    run_start: np.ndarray  # first rank of each run, then 256
+    order: Sequence[int]  # permutation of 0..255, weight-descending, ties by value
+    run_start: Sequence[int]  # first rank of each run, then 256
     # end of each run before the deficit; ends[-1] + deficit = width. Python ints, or an
     # int64 array when each symbol is a run of its own and the int64 pass tiled it
     ends: list[int] | np.ndarray
@@ -90,7 +91,8 @@ class QuantizedPartition(NamedTuple):
     def cut(self) -> list[int]:
         """Boundaries of the symbols with nonzero width, in rank order (the tail of
         the sorted order is empty); cut[0] = 0 and cut[-1] = width."""
-        run_len = self.run_start[1:] - self.run_start[:-1]
+        run_start = np.asarray(self.run_start)
+        run_len = run_start[1:] - run_start[:-1]
         f = np.array(self.ends)
         f[1:] = f[1:] - f[:-1]  # the span of each run before the deficit
         f //= run_len  # units per symbol of each run
@@ -115,16 +117,17 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     if runs is None:
         if width * dist.top <= INT64_MAX:
             ends = width * dist.run_w // dist.total
-            if dist.run_len is ONE_EACH:
-                return QuantizedPartition(dist.order, dist.run_start, ends.cumsum(), width)
-            ends = (ends * dist.run_len).cumsum().tolist()
-            return QuantizedPartition(dist.order, dist.run_start, ends, width)
+            if dist.run_of is None:
+                ends = ends.cumsum()
+            else:
+                ends = (ends * dist.run_len).cumsum().tolist()
+            return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))
         runs = zip(dist.run_w.tolist(), dist.run_len.tolist())
     total, end, ends = dist.total, 0, []
     for w, n in runs:
         end += width * w // total * n
         ends.append(end)
-    return QuantizedPartition(dist.order, dist.run_start, ends, width)
+    return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))
 
 
 def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
@@ -141,49 +144,49 @@ def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
     return s, prefix
 
 
-def _run_cell(dist: PixelDistribution, ends: list[int], deficit: int, r: int) -> tuple[int, int]:
-    """(start, units per symbol) of run r: run 0 starts at 0, run r > 0 at ends[r - 1] + deficit."""
+def _run_cell(run_start, ends: list[int], deficit: int, r: int) -> tuple[int, int, int]:
+    """(start, units per symbol, first rank) of run r, as Python ints: run 0 starts at 0, run
+    r > 0 at ends[r - 1] + deficit."""
     start = ends[r - 1] + deficit if r else 0
-    return start, (ends[r] + deficit - start) // int(dist.run_len[r])
+    first = run_start[r]
+    return start, (ends[r] + deficit - start) // (run_start[r + 1] - first), first
 
 
-def _symbol_cell(ends: np.ndarray, deficit: int, k: int) -> tuple[int, int]:
-    """(start, width) of rank k, as Python ints, where each symbol is a run of its own."""
+def _symbol_cell(ends, deficit: int, k: int) -> tuple[int, int]:
+    """(start, width) of rank k, as Python ints, where each symbol is a run of its own: `ends`
+    is an int64 array, or a list where the products passed int64."""
     start = int(ends[k - 1]) + deficit if k else 0
     return start, int(ends[k]) + deficit - start
 
 
 def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
-    part = quantize(dist, state)
-    ends, width = part.ends, part.width
+    _, _, ends, width = quantize(dist, state)
     x = msg.window(msg.confirmed_ptr, state.prc) - state.low
-    if type(ends) is list:
-        deficit = width - ends[-1]
-        r = bisect_right(ends, x - deficit)  # the run, then the symbol within it
-        start, q_width = _run_cell(dist, ends, deficit, r)
+    deficit = width - int(ends[-1])
+    r = bisect_right(ends, x - deficit)  # the run that holds the window
+    if dist.run_of is None:  # one symbol per run: the run is the rank
+        start, q_width = _symbol_cell(ends, deficit, r)
+        value = int(dist.order[r])
+    else:  # the symbol within the run, all in Python ints
+        start, q_width, first = _run_cell(dist.run_start, ends, deficit, r)
         i = (x - start) // q_width
-        k, start = int(dist.run_start[r]) + i, start + i * q_width
-    else:  # an int64 array: the run is the rank
-        deficit = width - int(ends[-1])
-        k = int(ends.searchsorted(x - deficit, side="right"))
-        start, q_width = _symbol_cell(ends, deficit, k)
+        value, start = dist.order[first + i], start + i * q_width
     s, _ = _apply(state, start, q_width)
     msg.confirmed_ptr += s
-    return StepRecord(int(dist.order[k]), s, q_width, width)
+    return tuple.__new__(StepRecord, (value, s, q_width, width, *NO_STATS))
 
 
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
-    part = quantize(dist, state)
-    ends, width = part.ends, part.width
-    k = int(dist.rank[pixel])
-    if type(ends) is list:
-        r = bisect_right(dist.run_start, k) - 1
-        start, q_width = _run_cell(dist, ends, width - ends[-1], r)
-        start += (k - int(dist.run_start[r])) * q_width
-    else:  # an int64 array: the run is the rank
-        start, q_width = _symbol_cell(ends, width - int(ends[-1]), k)
+    _, _, ends, width = quantize(dist, state)
+    deficit = width - int(ends[-1])
+    if dist.run_of is None:  # one symbol per run: the run is the rank
+        start, q_width = _symbol_cell(ends, deficit, int(dist.rank[pixel]))
+    else:
+        k = dist.rank[pixel]
+        start, q_width, first = _run_cell(dist.run_start, ends, deficit, dist.run_of[k])
+        start += (k - first) * q_width
     if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")
     s, prefix = _apply(state, start, q_width)

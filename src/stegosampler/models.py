@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .pnm import BadMagic, ImageGrid, SequencePosition, read_bytes, write_bytes
 
-WEIGHT_TOTAL_LIMIT = 1 << 40  # headroom for interval multiplication at prc <= 62
+# A distribution's weights and total are below this, so an int64 sum of 256 weights cannot
+# wrap; it leaves headroom for interval multiplication at prc <= 62
+WEIGHT_TOTAL_LIMIT = 1 << 40
 # products width * weight are exact in int64 when width * top weight is at most this
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -71,40 +74,53 @@ class PixelDistribution:
     - more, or any number for a distribution that serves one step, as a
       stream's does: one run per symbol, so run_w is the sorted weights,
       run_start and run_len are the shared ALL_RANKS and ONE_EACH, and runs
-      is None.
+      and run_of are None.
+
+    A distribution that serves many steps, as a context's does, keeps the
+    lookups a coding step makes as Python-native sequences (`array.array`),
+    which give Python ints: order, rank and, in the first two layouts,
+    run_start and run_of, the run of each rank. A stream's distribution keeps
+    them as numpy arrays, which it builds for its whole chunk at once.
     """
 
     __slots__ = (
-        "weights", "total", "top", "order", "rank", "run_start", "run_w", "run_len", "runs")
+        "weights", "total", "top", "order", "rank", "run_start", "run_w", "run_len", "runs",
+        "run_of")
 
     def __init__(self, weights, sorted_row=None):
-        """`sorted_row` is what `_distributions` derived for these weights, an int64 row of
-        the table it sorted at once: (total, top, order, rank, run_start, run_w, run_len,
-        runs). Without it the weights are sorted here and stored as their runs."""
+        """`sorted_row` is what `_distributions` derived for these weights from the table it
+        sorted at once: (total, top, order, rank, run_start, run_w, run_len, runs, run_of).
+        Without it the weights are sorted here and laid out as a context's."""
         if sorted_row is None:
             weights = np.asarray(weights, dtype=np.int64)
             (total,), (top,), (ok,), sw, order, rank = _sort_rows(weights[None])
             if not ok:
                 if weights.min() < 0:
                     raise ValueError("weights must be non-negative")
-                raise ValueError(f"total {total} outside (0, 2^40)")
-            sorted_row = (total, top, order[0], rank[0], *_run_layout(sw)[0])
+                why = f"total {sum(weights.tolist())} outside (0, 2^40)"  # exact, in Python ints
+                v = int(weights.argmax())
+                if weights[v] >= WEIGHT_TOTAL_LIMIT:
+                    why = f"weight {weights[v]} of value {v} is not below 2^40, {why}"
+                raise ValueError(why)
+            sorted_row = (total, top, *_run_layout(sw, order, rank)[0])
         self.weights = weights
         (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.run_len,
-         self.runs) = sorted_row
+         self.runs, self.run_of) = sorted_row
 
 
 def _sort_rows(w: np.ndarray) -> tuple:
     """The shared sort of an int64 (n, 256) weight table, one pass for all rows:
     (totals, tops, valid, sw, order, rank). Each row's total and top weight are Python
-    ints, and valid says whether it is a distribution at all (no negative weight, a total
-    in (0, 2^40)); an invalid row's sorted arrays are meaningless. sw holds each row's
-    weights in descending order, ties by ascending value, order the symbols in that order,
-    and rank its inverse, order[rank[v]] == v, each as an (n, 256) array."""
+    ints, and valid says whether it is a distribution at all (no negative weight, every
+    weight below 2^40, so that no total wraps, and a total in (0, 2^40)); an invalid row's
+    sorted arrays are meaningless. sw holds each row's weights in descending order, ties by
+    ascending value, order the symbols in that order, and rank its inverse,
+    order[rank[v]] == v, each as an (n, 256) array."""
     if w.ndim != 2 or w.shape[1] != 256:
         raise ValueError("need exactly 256 weights")
     totals = w.sum(axis=1)
-    valid = (w.min(axis=1) >= 0) & (totals > 0) & (totals < WEIGHT_TOTAL_LIMIT)
+    valid = ((w.min(axis=1) >= 0) & (w.max(axis=1) < WEIGHT_TOTAL_LIMIT)
+             & (totals > 0) & (totals < WEIGHT_TOTAL_LIMIT))
     # symbols sorted by weight descending, ties by ascending value: every weight is below
     # 2^40, and ~ reverses the order of weights, so one sort of (~weight << 8 | value) keys
     # gives both
@@ -120,10 +136,11 @@ def _sort_rows(w: np.ndarray) -> tuple:
     return totals.tolist(), sw[:, 0].tolist(), valid.tolist(), sw, order, rank
 
 
-def _run_layout(sw: np.ndarray) -> list[tuple]:
-    """(run_start, run_w, run_len, runs) of each row of a sorted weight table, for a
-    distribution that serves many steps: its runs of equal weight, as pairs of Python
-    ints too up to FEW_RUNS runs, and one symbol per run above MANY_RUNS."""
+def _run_layout(sw: np.ndarray, order: np.ndarray, rank: np.ndarray) -> list[tuple]:
+    """(order, rank, run_start, run_w, run_len, runs, run_of) of each row of a sorted weight
+    table, for a distribution that serves many steps: its runs of equal weight, as pairs of
+    Python ints too up to FEW_RUNS runs, and one symbol per run above MANY_RUNS. The lookups
+    of a coding step, order, rank, run_start and run_of, are array.array rows."""
     edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
     runs = edge.sum(axis=1) - 1
@@ -132,32 +149,35 @@ def _run_layout(sw: np.ndarray) -> list[tuple]:
     run_start.sort(axis=1)  # a row's run starts, then 256 to the end of the row
     run_w = sw[kept[:, None], run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
     run_len = run_start[:, 1:] - run_start[:, :-1]
-    kept_rows = iter(zip(run_start, run_w, run_len))
+    run_of = edge[kept, :256].cumsum(axis=1, dtype=np.uint8) - 1  # the run of each rank
+    kept_rows = iter(zip(run_start.astype("H"), run_w, run_len, run_of))
     out = []
-    for row, r in zip(sw, runs.tolist()):
+    for row, o, k, r in zip(sw, order.astype("B"), rank.astype("B"), runs.tolist()):
+        o, k = array("B", o.tobytes()), array("B", k.tobytes())
         if r > MANY_RUNS:
-            out.append(_one_symbol_per_run(row))
+            out.append(_one_symbol_per_run(row, o, k))
             continue
-        start, rw, rl = next(kept_rows)
-        out.append((start[: r + 1], rw[:r], rl[:r],
-                    tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None))
+        start, rw, rl, of = next(kept_rows)
+        out.append((o, k, array("H", start[: r + 1].tobytes()), rw[:r], rl[:r],
+                    tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None,
+                    array("B", of.tobytes())))
     return out
 
 
-def _one_symbol_per_run(row: np.ndarray) -> tuple:
-    """(run_start, run_w, run_len, runs) of a sorted weight row stored one symbol per run,
-    with no run bookkeeping: so is every row of a distribution that serves one step."""
-    return ALL_RANKS, row, ONE_EACH, None
+def _one_symbol_per_run(row: np.ndarray, order: Sequence[int], rank: Sequence[int]) -> tuple:
+    """(order, rank, run_start, run_w, run_len, runs, run_of) of a sorted weight row stored
+    one symbol per run, with no run bookkeeping: so is every row of a distribution that
+    serves one step."""
+    return order, rank, ALL_RANKS, row, ONE_EACH, None, None
 
 
 def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:
     """A PixelDistribution per row of an int64 (n, 256) weight table, sorted in one pass and
-    laid out by `layout`; None for a row that is no distribution, which PixelDistribution(row)
-    raises on."""
+    laid out by `layout` from the sorted weights, order and rank; None for a row that is no
+    distribution, which PixelDistribution(row) raises on."""
     totals, tops, valid, sw, order, rank = _sort_rows(w)
-    return [PixelDistribution(row, (total, top, o, r, *runs)) if ok else None
-            for row, total, top, ok, o, r, runs
-            in zip(w, totals, tops, valid, order, rank, layout(sw))]
+    return [PixelDistribution(row, (total, top, *rows)) if ok else None
+            for row, total, top, ok, rows in zip(w, totals, tops, valid, layout(sw, order, rank))]
 
 
 class FixedModel:
@@ -212,7 +232,7 @@ class StreamModel:
                 raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
             self._chunk = []  # the old chunk goes before the next is built
             w = np.asarray(self.table[pos.index : pos.index + STREAM_CHUNK], dtype=np.int64)
-            self._chunk = _distributions(w, lambda sw: map(_one_symbol_per_run, sw))
+            self._chunk = _distributions(w, lambda *rows: map(_one_symbol_per_run, *rows))
             self._first, i = pos.index, 0
         # a step whose weights are no distribution raises only when asked for
         return self._chunk[i] or PixelDistribution(self.table[pos.index])

@@ -189,6 +189,10 @@ def bad_inputs(tmp_path):
     models.save_stream(table, tmp_path / "zero-row.psds")
     gray = corpus.stroke_corpus(4, 4, 4, 1, seed=1)
     models.save_model(models.train_context_model(gray, buckets=4), tmp_path / "gray.pscm")
+    wrapping = models.ContextModel(1, buckets=4)  # the first step's context sums past 2^64
+    wrapping.counts[0, 4, 4, :4] = 1 << 62
+    wrapping.counts[0, 4, 4, 4] = 4
+    models.save_model(wrapping, tmp_path / "wrapping.pscm")
     (tmp_path / "cut.pscm").write_bytes((tmp_path / "gray.pscm").read_bytes()[:8])
     pnm.write_image(pnm.ImageGrid(2, 2, 3, bytearray(12)), tmp_path / "rgb.ppm")
     pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "gray.pgm")
@@ -216,6 +220,7 @@ BAD_INPUT_PROBES = {
     "extract-height-0-image": "extract --uniform --image {d}/height0.pgm --out {d}/o.bin",
     "embed-model-cut-in-header": f"{EMBED} --model {{d}}/cut.pscm --out {{d}}/s.pgm",
     "embed-gray-model-rgb": f"{EMBED} --model {{d}}/gray.pscm --rgb --out {{d}}/s.ppm",
+    "embed-model-total-past-int64": f"{EMBED} --model {{d}}/wrapping.pscm --out {{d}}/s.pgm",
     "embed-width-0": "embed --uniform --message {d}/msg.bin --width 0 --height 2 --out {d}/s.pgm",
     "embed-prc-70": f"{EMBED} --uniform --prc 70 --out {{d}}/s.pgm",
     "extract-prc-70": "extract --uniform --image {d}/gray.pgm --prc 70 --out {d}/o.bin",
@@ -252,6 +257,7 @@ BAD_INPUT_PROBES = {
 # what the probe's error line must name, and the files the failed command must not leave
 PROBE_NAMES = {
     "train-maxval-17": "{d}/maxval17/a.pgm",
+    "embed-model-total-past-int64": f"weight {(1 << 62) + 1} of value 0 is not below 2^40",
     # refused up front, not by a later rename that finds the shared temporary gone
     "embed-out-and-report-one-path": "two outputs on one path: {d}/x.pgm {d}/x.pgm",
     "analyze-csv-and-entropy-map-one-path": "two outputs on one path: {d}/a.csv {d}/./a.csv",
@@ -316,12 +322,14 @@ class TestSelftest:
         assert run("selftest") == 0
         assert "pass" in capsys.readouterr().out
 
-    def test_runs_as_a_module(self):
+    # under -O too: the invariants raise real errors, which -O does not strip as it strips asserts
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_runs_as_a_module(self, flags):
         src = os.path.dirname(os.path.dirname(stegosampler.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-m", "stegosampler", "selftest"], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+            [sys.executable, *flags, "-m", "stegosampler", "selftest"], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "pass" in done.stdout
 

@@ -1,12 +1,17 @@
 import io
+import re
 import tracemalloc
+from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stegosampler.corpus import stroke_corpus
-from stegosampler.coder import CoderState, quantize
+from stegosampler import coder
+from stegosampler.bitio import BitStream, BitString
+from stegosampler.corpus import noise_corpus, stroke_corpus
+from stegosampler.coder import CoderState, _apply, embed_step, extract_step, quantize
 from stegosampler.models import (
     ALL_RANKS,
     INT64_MAX,
@@ -137,6 +142,19 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"total 1099511627776 outside"):
             model.distribution(*context_query(3, 3, B))
         assert model.distribution(*context_query(0, 0, B)).total == 1
+
+    def test_context_whose_total_passes_int64_raises(self):
+        """Four counts of 2^62 and smoothing sum to 2^64 + 260, which an int64 row sum wraps to
+        260; every weight must be below 2^40, so the loaded context raises, naming a weight."""
+        model = ContextModel(1, buckets=4, smooth=1)
+        model.counts[0, 4, 4, :4] = 1 << 62
+        model.counts[0, 4, 4, 4] = 4
+        model = load_model(save_model(model, None))
+        total = 4 * ((1 << 62) + 1) + 5 + 251
+        want = f"weight {(1 << 62) + 1} of value 0 is not below 2^40, total {total} outside"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            model.distribution(*context_query(4, 4, 4))
+        assert model.distribution(*context_query(0, 0, 4)).total == 256  # never seen
 
     def test_duplication_doubles_counts(self):
         imgs = [gray([[1, 200], [30, 4]]), gray([[255, 0], [9, 9]])]
@@ -388,3 +406,88 @@ def test_training_order_independent(perm):
     base = train_context_model(imgs)
     shuffled = train_context_model([imgs[i] for i in perm])
     assert (base.counts == shuffled.counts).all()
+
+
+@st.composite
+def many_step_distributions(draw):
+    """(weights, distribution) of a distribution that serves many steps: random weights with
+    ties, a row of FEW_RUNS or MANY_RUNS runs or one more, or a trained context."""
+    kind = draw(st.sampled_from(["ties", "edge", "context"]))
+    if kind == "context":
+        model, _ = draw(trained_model_and_image())
+        B = model.buckets
+        left, up = draw(st.integers(0, B)), draw(st.integers(0, B))
+        weights = model.counts[0, left, up].astype(np.int64) + model.smooth
+        return weights, model.distribution(*context_query(left, up, B))
+    if kind == "ties":
+        values = draw(st.lists(st.integers(2, (1 << 32) - 1), min_size=1, max_size=256))
+        weights = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
+        weights[draw(st.integers(0, 255))] = values[0]  # total > 0
+    else:
+        runs = draw(st.sampled_from([FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1]))
+        scale = draw(st.integers(1, 1 << 24))
+        weights = draw(st.permutations([max(runs - v, 1) * scale for v in range(256)]))
+    return np.array(weights, dtype=np.int64), PixelDistribution(weights)
+
+
+def codes_by_rank_past_int64(dist, pixel) -> None:
+    """At prc 62 the products of a row stored one symbol per run pass int64, so `quantize`
+    tiles it in Python ints; its steps still take the rank as the run, and the pixel codes to
+    its cell of the per-symbol cut."""
+    assert dist.run_of is None and CoderState(62).width * dist.top > INT64_MAX
+    part = quantize(dist, CoderState(62))
+    assert type(part.ends) is list
+    cut, k = part.cut, int(dist.rank[pixel])
+    with mock.patch.object(coder, "_run_cell", side_effect=AssertionError("run branch")):
+        if k + 1 >= len(cut):
+            with pytest.raises(coder.UndecodablePixel):
+                extract_step(CoderState(62), dist, pixel)
+            return
+        want = CoderState(62)
+        s, prefix = _apply(want, cut[k], cut[k + 1] - cut[k])
+        got = CoderState(62)
+        assert extract_step(got, dist, pixel) == (prefix, s)
+        assert (got.low, got.high) == (want.low, want.high)
+        window = BitStream(BitString((cut[k] << 2).to_bytes(8, "big"), 62), 0)
+        rec = embed_step(CoderState(62), dist, window)
+        assert (rec.pixel_value, rec.bits_confirmed, rec.q_width) == (pixel, s, cut[k + 1] - cut[k])
+
+
+@settings(max_examples=120, deadline=None)
+@given(many_step_distributions(), st.integers(0, 255))
+def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
+    """A distribution that serves many steps keeps its step lookups as Python ints, and they
+    are what the numpy sort gives. A row stored one symbol per run, here or in a stream, still
+    codes by rank where its products pass int64."""
+    weights, dist = bundle
+    order = np.argsort(-weights, kind="stable")
+    assert np.array_equal(dist.order, order) and np.array_equal(dist.rank, np.argsort(order))
+    assert [dist.order[dist.rank[v]] for v in range(256)] == list(range(256))
+    lookups = [dist.order, dist.rank]
+    if dist.run_of is None:
+        assert dist.run_start is ALL_RANKS and dist.run_len is ONE_EACH
+        assert len(runs_of(weights[order])) > MANY_RUNS
+    else:
+        lookups += [dist.run_start, dist.run_of]
+        assert list(dist.run_start) == [first for first, _, _ in runs_of(weights[order])] + [256]
+        assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
+    assert all(type(x) is int for table in lookups for x in table)
+    if dist.top > 1:  # a top weight of 1 keeps every product at prc 62 within int64
+        if dist.run_of is None:
+            codes_by_rank_past_int64(dist, pixel)
+        codes_by_rank_past_int64(StreamModel(weights[None]).distribution(None, POS0), pixel)
+
+
+def test_sorted_contexts_stay_compact():
+    """A context's step lookups are compact arrays: sorting the 75 contexts of an RGB noise
+    model holds under 16 KiB per distinct distribution."""
+    model = train_context_model(noise_corpus(100, 32, 32, 3, seed=3), buckets=4)
+    tracemalloc.start()
+    try:
+        model.distribution(ImageGrid.blank(1, 1, 3), POS0)  # sorts every context
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    distinct = len({id(d) for d in model._dists})
+    assert distinct == 75
+    assert held < 16 * 1024 * distinct, f"{held} B held for {distinct} distributions"
