@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -95,17 +95,22 @@ class PixelDistribution:
             weights = np.asarray(weights, dtype=np.int64)
             (total,), (top,), (ok,), sw, order, rank = _sort_rows(weights[None])
             if not ok:
-                if weights.min() < 0:
-                    raise ValueError("weights must be non-negative")
-                why = f"total {sum(weights.tolist())} outside (0, 2^40)"  # exact, in Python ints
-                v = int(weights.argmax())
-                if weights[v] >= WEIGHT_TOTAL_LIMIT:
-                    why = f"weight {weights[v]} of value {v} is not below 2^40, {why}"
-                raise ValueError(why)
+                raise _not_a_distribution(weights.tolist())
             sorted_row = (total, top, *_run_layout(sw, order, rank)[0])
         self.weights = weights
         (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.run_len,
          self.runs, self.run_of) = sorted_row
+
+
+def _not_a_distribution(weights: list[int]) -> ValueError:
+    """Why 256 weights, as exact Python ints, are no distribution."""
+    if min(weights) < 0:
+        return ValueError("weights must be non-negative")
+    why = f"total {sum(weights)} outside (0, 2^40)"
+    top = max(weights)
+    if top >= WEIGHT_TOTAL_LIMIT:
+        why = f"weight {top} of value {weights.index(top)} is not below 2^40, {why}"
+    return ValueError(why)
 
 
 def _sort_rows(w: np.ndarray) -> tuple:
@@ -158,7 +163,7 @@ def _run_layout(sw: np.ndarray, order: np.ndarray, rank: np.ndarray) -> list[tup
             out.append(_one_symbol_per_run(row, o, k))
             continue
         start, rw, rl, of = next(kept_rows)
-        out.append((o, k, array("H", start[: r + 1].tobytes()), rw[:r], rl[:r],
+        out.append((o, k, array("H", start[: r + 1].tobytes()), rw[:r].copy(), rl[:r].copy(),
                     tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None,
                     array("B", of.tobytes())))
     return out
@@ -273,13 +278,32 @@ class ContextModel:
         up = B if pos.row == 0 else data[i - prefix.width * prefix.channels] * B >> 8
         return (pos.channel * (B + 1) + left) * (B + 1) + up
 
+    def context_rows(self, vals: np.ndarray) -> np.ndarray:
+        """The context id of every subpixel of an (n, h, w, c) uint8 image stack, as uint32:
+        context_of at every position at once."""
+        B = self.buckets
+        bucketed = vals.astype(np.uint32)  # a uint8 product would wrap
+        bucketed *= B
+        bucketed >>= 8
+        rows = np.empty_like(bucketed)
+        rows[:, :, 0] = B * (B + 1)  # left edge
+        rows[:, :, 1:] = bucketed[:, :, :-1] * np.uint32(B + 1)
+        rows[:, 0] += np.uint32(B)  # top edge
+        rows[:, 1:] += bucketed[:, :-1]
+        rows += np.arange(vals.shape[3], dtype=np.uint32) * np.uint32((B + 1) ** 2)
+        return rows
+
     def distribution(self, prefix: ImageGrid, pos: SequencePosition) -> PixelDistribution:
         if self._dists is None:
             self._sort_contexts()
         row = self.context_of(prefix, pos)
         # a context whose weights are no distribution raises only when asked for
-        return self._dists[row] or PixelDistribution(
-            self.counts.reshape(-1, 256)[row].astype(np.int64) + self.smooth)
+        return self._dists[row] or self._refuse(row)
+
+    def _refuse(self, row: int) -> NoReturn:
+        """Raise why context `row` is no distribution, from its stored counts as exact ints."""
+        counts = self.counts.reshape(-1, 256)[row].tolist()
+        raise _not_a_distribution([c + self.smooth for c in counts])
 
     def _sort_contexts(self) -> None:
         """Build the distribution of every context in one sorting pass. Contexts the corpus
@@ -288,7 +312,8 @@ class ContextModel:
         counts = self.counts.reshape(-1, 256)
         seen = np.flatnonzero(counts.any(axis=1))
         w = np.zeros((len(seen) + 1, 256), dtype=np.int64)  # the last row: an unseen context
-        w[:-1] = counts[seen]
+        # a count of 2^40 or more makes its row no distribution; clipped, it cannot wrap int64
+        w[:-1] = np.minimum(counts[seen], WEIGHT_TOTAL_LIMIT)
         *dists, unseen = _distributions(w + self.smooth, _run_layout)
         self._dists = [unseen] * len(counts)
         for row, d in zip(seen.tolist(), dists):
@@ -298,7 +323,8 @@ class ContextModel:
 def train_context_model(
     corpus: Iterable[ImageGrid], buckets: int = 16, smooth: int = 1
 ) -> ContextModel:
-    """Count (context, value) occurrences over the corpus; order-independent."""
+    """Count (context, value) occurrences over the corpus, one count per image shape;
+    order-independent."""
     images = list(corpus)
     if not images:
         raise EmptyCorpus("no images to train on")
@@ -307,17 +333,17 @@ def train_context_model(
         raise MixedChannelCorpus("corpus mixes gray and RGB images")
 
     model = ContextModel(channels, buckets, smooth)
-    counts = model.counts.reshape(-1, 256)
-    B = buckets
+    counts = model.counts.ravel()  # a view: flat index row << 8 | value
+    shapes: dict[tuple[int, int], list[bytearray]] = {}
     for img in images:
-        vals = np.frombuffer(img.data, dtype=np.uint8).reshape(img.height, img.width, channels)
-        bucketed = vals.astype(np.int64) * B >> 8
-        left = np.full(vals.shape, B, dtype=np.int64)
-        left[:, 1:] = bucketed[:, :-1]
-        up = np.full(vals.shape, B, dtype=np.int64)
-        up[1:] = bucketed[:-1]
-        row = (np.arange(channels) * (B + 1) + left) * (B + 1) + up
-        np.add.at(counts, (row.ravel(), vals.ravel()), np.uint64(1))
+        shapes.setdefault((img.height, img.width), []).append(img.data)
+    for (height, width), data in shapes.items():
+        vals = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(-1, height, width, channels)
+        keys = model.context_rows(vals)
+        keys <<= 8
+        keys |= vals
+        # a numpy 1, not a Python one: numpy takes its fast path only for a matching dtype
+        np.add.at(counts, keys.ravel(), np.uint64(1))
     return model
 
 

@@ -193,6 +193,9 @@ def bad_inputs(tmp_path):
     wrapping.counts[0, 4, 4, :4] = 1 << 62
     wrapping.counts[0, 4, 4, 4] = 4
     models.save_model(wrapping, tmp_path / "wrapping.pscm")
+    unsigned = models.ContextModel(1, buckets=4)  # a count that no int64 holds
+    unsigned.counts[0, 4, 4, 0] = 1 << 63
+    models.save_model(unsigned, tmp_path / "count-2^63.pscm")
     (tmp_path / "cut.pscm").write_bytes((tmp_path / "gray.pscm").read_bytes()[:8])
     pnm.write_image(pnm.ImageGrid(2, 2, 3, bytearray(12)), tmp_path / "rgb.ppm")
     pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "gray.pgm")
@@ -221,6 +224,7 @@ BAD_INPUT_PROBES = {
     "embed-model-cut-in-header": f"{EMBED} --model {{d}}/cut.pscm --out {{d}}/s.pgm",
     "embed-gray-model-rgb": f"{EMBED} --model {{d}}/gray.pscm --rgb --out {{d}}/s.ppm",
     "embed-model-total-past-int64": f"{EMBED} --model {{d}}/wrapping.pscm --out {{d}}/s.pgm",
+    "embed-model-count-2^63": f"{EMBED} --model {{d}}/count-2^63.pscm --out {{d}}/s.pgm",
     "embed-width-0": "embed --uniform --message {d}/msg.bin --width 0 --height 2 --out {d}/s.pgm",
     "embed-prc-70": f"{EMBED} --uniform --prc 70 --out {{d}}/s.pgm",
     "extract-prc-70": "extract --uniform --image {d}/gray.pgm --prc 70 --out {d}/o.bin",
@@ -258,6 +262,7 @@ BAD_INPUT_PROBES = {
 PROBE_NAMES = {
     "train-maxval-17": "{d}/maxval17/a.pgm",
     "embed-model-total-past-int64": f"weight {(1 << 62) + 1} of value 0 is not below 2^40",
+    "embed-model-count-2^63": f"weight {(1 << 63) + 1} of value 0 is not below 2^40",
     # refused up front, not by a later rename that finds the shared temporary gone
     "embed-out-and-report-one-path": "two outputs on one path: {d}/x.pgm {d}/x.pgm",
     "analyze-csv-and-entropy-map-one-path": "two outputs on one path: {d}/a.csv {d}/./a.csv",

@@ -156,6 +156,19 @@ class TestTraining:
             model.distribution(*context_query(4, 4, 4))
         assert model.distribution(*context_query(0, 0, 4)).total == 256  # never seen
 
+    @pytest.mark.parametrize("count", [1 << 63, (1 << 64) - 1])
+    def test_context_count_past_int64_raises_naming_it(self, count):
+        """A stored count of 2^63 or more is no int64: it is named exactly, not as a negative
+        weight, and 2^64 - 1 does not wrap to a weight of 0 that would code."""
+        model = ContextModel(1, buckets=4, smooth=1)
+        model.counts[0, 4, 4, 0] = count
+        model.counts[0, 4, 4, 1] = 5
+        model = load_model(save_model(model, None))
+        want = f"weight {count + 1} of value 0 is not below 2^40, total {count + 1 + 6 + 254} "
+        with pytest.raises(ValueError, match=re.escape(want)):
+            model.distribution(*context_query(4, 4, 4))
+        assert model.distribution(*context_query(0, 0, 4)).total == 256  # never seen
+
     def test_duplication_doubles_counts(self):
         imgs = [gray([[1, 200], [30, 4]]), gray([[255, 0], [9, 9]])]
         once = train_context_model(imgs)
@@ -479,8 +492,9 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
 
 
 def test_sorted_contexts_stay_compact():
-    """A context's step lookups are compact arrays: sorting the 75 contexts of an RGB noise
-    model holds under 16 KiB per distinct distribution."""
+    """A context's step lookups are compact arrays, and its run weights and lengths own their
+    data rather than viewing the (contexts, 256) tables they were cut from: sorting the 75
+    contexts of an RGB noise model holds under 5 KiB per distinct distribution."""
     model = train_context_model(noise_corpus(100, 32, 32, 3, seed=3), buckets=4)
     tracemalloc.start()
     try:
@@ -488,6 +502,39 @@ def test_sorted_contexts_stay_compact():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    distinct = len({id(d) for d in model._dists})
-    assert distinct == 75
-    assert held < 16 * 1024 * distinct, f"{held} B held for {distinct} distributions"
+    distinct = {id(d): d for d in model._dists}.values()
+    assert len(distinct) == 75
+    assert all(d.run_w.base is None and d.run_len.base is None for d in distinct)
+    assert held < 5 * 1024 * len(distinct), f"{held} B held for {len(distinct)} distributions"
+
+
+@st.composite
+def image_stacks(draw):
+    """Images of one to three shapes within 9x9, with one channel count, and a bucket count."""
+    channels = draw(st.sampled_from([1, 3]))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=3))
+    images = []
+    for w, h in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=5)):
+        data = draw(st.binary(min_size=w * h * channels, max_size=w * h * channels))
+        images.append(ImageGrid(w, h, channels, bytearray(data)))
+    return images, draw(st.sampled_from([0, 1, 4, 16, 255]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(image_stacks())
+def test_context_rows_is_context_of_everywhere(bundle):
+    """The array form of the context rule gives context_of at every position, and training a
+    corpus of mixed shapes counts what training each image alone counts. Training runs at 16
+    buckets at most: at 255, every context an image touches maps a page of a 400 MB table."""
+    images, buckets = bundle
+    model = ContextModel(images[0].channels, buckets)
+    for img in images:
+        vals = np.frombuffer(img.data, dtype=np.uint8).reshape(1, img.height, img.width, -1)
+        rows = model.context_rows(vals)
+        assert rows.dtype == np.uint32
+        assert rows.ravel().tolist() == [
+            model.context_of(img, pos)
+            for pos in sequence_positions(img.width, img.height, img.channels)]
+    buckets = min(buckets, 16)
+    alone = sum(train_context_model([img], buckets).counts for img in images)
+    assert np.array_equal(train_context_model(images, buckets).counts, alone)
