@@ -524,8 +524,9 @@ def image_stacks(draw):
 @given(image_stacks())
 def test_context_rows_is_context_of_everywhere(bundle):
     """The array form of the context rule gives context_of at every position, and training a
-    corpus of mixed shapes counts what training each image alone counts. Training runs at 16
-    buckets at most: at 255, every context an image touches maps a page of a 400 MB table."""
+    corpus of mixed shapes counts what context_of reads, and what training each image alone
+    counts. Training runs at 16 buckets at most: at 255, every context an image touches maps a
+    page of a 400 MB table."""
     images, buckets = bundle
     model = ContextModel(images[0].channels, buckets)
     for img in images:
@@ -535,6 +536,11 @@ def test_context_rows_is_context_of_everywhere(bundle):
         assert rows.ravel().tolist() == [
             model.context_of(img, pos)
             for pos in sequence_positions(img.width, img.height, img.channels)]
-    buckets = min(buckets, 16)
-    alone = sum(train_context_model([img], buckets).counts for img in images)
-    assert np.array_equal(train_context_model(images, buckets).counts, alone)
+    model = train_context_model(images, min(buckets, 16))
+    want = np.zeros_like(model.counts).reshape(-1, 256)
+    for img in images:
+        for pos in sequence_positions(img.width, img.height, img.channels):
+            want[model.context_of(img, pos), img.data[pos.index]] += 1
+    assert np.array_equal(model.counts.reshape(-1, 256), want)
+    alone = sum(train_context_model([img], model.buckets).counts for img in images)
+    assert np.array_equal(model.counts, alone)
