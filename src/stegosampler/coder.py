@@ -9,13 +9,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import INT64_MAX, PixelDistribution, StreamExhausted
+from .models import INT64_MAX, NotADistribution, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -73,8 +74,8 @@ class CoderState:
 class QuantizedPartition(NamedTuple):
     """Integer tiling of the current interval, most probable symbols first.
 
-    The distribution's runs of equal weight tile it in rank order: each
-    symbol of run r gets width * run_w[r] // total units, and ends[r] is where
+    The distribution's runs of equal weight tile it in rank order: each symbol
+    of run r, of weight w[r], gets width * w[r] // total units; ends[r] is where
     run r ends before the rounding deficit, width - ends[-1]. The deficit widens
     rank 0, alone in run 0, so run 0 spans [0, ends[0] + deficit) and run r > 0
     spans ends[r - 1] + deficit up to ends[r] + deficit.
@@ -106,23 +107,19 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
 
     Per-symbol widths are floored; the rounding deficit goes to the most
     probable symbol, which therefore always stays selectable. A distribution
-    with at most FEW_RUNS runs, or one whose products could pass int64 (width
-    times the top weight above INT64_MAX: high prc, top weights near 2^40), is
-    tiled in exact Python ints; any other in one int64 numpy pass, whose ends
-    stay an int64 array when each symbol is a run of its own. All give the same
-    ends.
+    kept as its runs of equal weight is tiled in exact Python ints, and so is
+    one whose products could pass int64 (width times the top weight above
+    INT64_MAX: high prc, top weights near 2^40). Any other, stored one symbol
+    per run, is tiled in one int64 numpy pass, whose ends stay an int64 array.
+    Both give the same ends.
     """
     width = state.width
     runs = dist.runs
     if runs is None:
         if width * dist.top <= INT64_MAX:
-            ends = width * dist.run_w // dist.total
-            if dist.run_of is None:
-                ends = ends.cumsum()
-            else:
-                ends = (ends * dist.run_len).cumsum().tolist()
+            ends = (width * dist.run_w // dist.total).cumsum()
             return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))
-        runs = zip(dist.run_w.tolist(), dist.run_len.tolist())
+        runs = zip(dist.run_w.tolist(), repeat(1))
     total, end, ends = dist.total, 0, []
     for w, n in runs:
         end += width * w // total * n
@@ -203,7 +200,11 @@ def _check_run(model, channels: int, prc: int) -> None:
     """Embed and extract checks, run once before the first step."""
     if not PRC_MIN <= prc <= PRC_MAX:
         raise ValueError(f"prc {prc} outside [{PRC_MIN}, {PRC_MAX}]")
-    # models without a channel count (fixed, stream) serve any image
+    _check_channels(model, channels)
+
+
+def _check_channels(model, channels: int) -> None:
+    """Models without a channel count (fixed, stream) serve any image."""
     trained = getattr(model, "channels", channels)
     if trained != channels:
         raise ChannelMismatch(f"model has {trained} channel(s), image has {channels}")
@@ -247,7 +248,7 @@ def embed_image(
                     if len(ids) >= STATS_CHUNK or len(held) == STATS_HELD:
                         _fill(steps[: pos.index + 1], held)
                         ids.clear()
-    except StreamExhausted as e:
+    except (StreamExhausted, NotADistribution) as e:
         raise _located(e, pos, prc) from None
     if collect:
         _fill(steps, held)
@@ -269,7 +270,7 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
             dist = model.distribution(image, pos)
             prefix, s = extract_step(state, dist, image.data[pos.index])
             out.append(prefix, s)
-    except (UndecodablePixel, StreamExhausted) as e:
+    except (UndecodablePixel, StreamExhausted, NotADistribution) as e:
         raise _located(e, pos, prc) from None
     state.check()
     return out
@@ -293,6 +294,7 @@ def lsb_embed(
 ) -> ImageGrid:
     """Rejection-sampling baseline: each pixel is drawn once from p restricted to the values
     whose LSB is the next bit, as resampling until the LSB matches would draw it."""
+    _check_channels(model, channels)
     msg = BitStream(BitString(message), pad_seed)
     rng = random.Random(rng_seed)
     grid = ImageGrid.blank(width, height, channels)

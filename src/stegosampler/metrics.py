@@ -46,7 +46,7 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     ids = np.fromiter(map(id, dists), np.uintp, len(dists))
     _, first, row = np.unique(ids, return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]
-    runs = max(len(d.run_w) for d in uniq)
+    runs = max(len(d.runs or d.run_w) for d in uniq)
     per = STATS_CELLS // runs
     if len(dists) > per:
         out = np.empty((len(dists), 4))
@@ -56,14 +56,15 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     vals = np.zeros((len(uniq), runs), dtype=np.int64)
     mult = np.zeros((len(uniq), runs), dtype=np.int64)
     for j, d in enumerate(uniq):
-        vals[j, : len(d.run_w)] = d.run_w
-        mult[j, : len(d.run_len)] = d.run_len
+        w, n = (d.run_w, 1) if d.runs is None else zip(*d.runs)
+        vals[j, : len(w)] = w
+        mult[j, : len(w)] = n
     total = np.array([d.total for d in uniq])
     p = vals / total[:, None]
     h_p = -_row_sums(mult * p * np.log2(p, out=np.zeros_like(p), where=vals > 0))
     vals, mult, total, p = vals[row], mult[row], total[row], p[row]
     w = np.asarray(width_before, dtype=np.int64)
-    # rows whose products w * run_w could pass int64 would wrap around: redo them exactly
+    # rows whose products w * vals could pass int64 would wrap around: redo them exactly
     big = vals[:, 0] > INT64_MAX // w
     ws = vals * w[:, None] // total[:, None]
     ws[big] = vals[big].astype(object) * w[big, None] // total[big, None]

@@ -21,18 +21,12 @@ STREAM_MAGIC = b"PSDS"
 MODEL_HEADER = "<HBBI"  # version, channels, buckets, smooth
 STREAM_HEADER = "<HI"  # version, steps
 STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
-# Layouts of a distribution that serves many steps, as a context's does. Up to FEW_RUNS runs of
-# equal weight, it also keeps its runs as Python-int pairs, which `quantize` walks in Python
-# ints: below about 20 runs that beats its one numpy pass, at 3 runs by about 3.5x. Above
-# MANY_RUNS runs, each symbol is a run of its own: the run bookkeeping then costs a context's
-# embed step no less than it saves. A stream's distribution serves one step, too few to win back
-# the pass over its chunk that finds the runs, so a stream stores every row one symbol per run,
-# whatever its run count.
-FEW_RUNS = 16
+# Above MANY_RUNS runs of equal weight, a context's row is stored one symbol per run: the run
+# bookkeeping then costs its embed step no less than it saves. A stream's row serves one step,
+# too few to win back the pass over its chunk that finds the runs, so it is always stored so.
 MANY_RUNS = 64
 ALL_RANKS = np.arange(257)  # run_start of every distribution stored one symbol per run
-ONE_EACH = np.ones(256, dtype=np.int64)  # and its run_len
-ALL_RANKS.flags.writeable = ONE_EACH.flags.writeable = False
+ALL_RANKS.flags.writeable = False
 
 
 class EmptyCorpus(ValueError):
@@ -59,38 +53,39 @@ class StreamExhausted(ValueError):
     pass
 
 
+class NotADistribution(ValueError):
+    """256 weights with a negative one, one of 2^40 or more, or a total outside (0, 2^40)."""
+
+
 class PixelDistribution:
     """256 non-negative integer weights; weights[v]/total is p(v).
 
     The symbols sorted by weight fall into runs, which the coder and the stats
     work over: run r holds ranks run_start[r] up to run_start[r + 1], each of
-    weight run_w[r]. Rank 0, which takes the rounding deficit, is always a run
-    of its own, and run_start ends with 256; top is its weight, run_w[0], as a
-    Python int. The runs come in one of three layouts:
+    one weight. Rank 0, which takes the rounding deficit, is always a run of
+    its own, and run_start ends with 256; top is its weight, as a Python int.
+    The runs come in one of two layouts:
 
-    - at most FEW_RUNS runs of equal weight: runs also holds each run's
-      (run_w, run_len) as a pair of Python ints;
-    - at most MANY_RUNS: the runs of equal weight, and runs is None;
+    - at most MANY_RUNS runs of equal weight, for a distribution that serves
+      many steps, as a context's does: runs holds each run's (weight, length)
+      as a pair of Python ints, and run_w is None;
     - more, or any number for a distribution that serves one step, as a
       stream's does: one run per symbol, so run_w is the sorted weights,
-      run_start and run_len are the shared ALL_RANKS and ONE_EACH, and runs
-      and run_of are None.
+      run_start is the shared ALL_RANKS, and runs and run_of are None.
 
-    A distribution that serves many steps, as a context's does, keeps the
-    lookups a coding step makes as Python-native sequences (`array.array`),
-    which give Python ints: order, rank and, in the first two layouts,
-    run_start and run_of, the run of each rank. A stream's distribution keeps
-    them as numpy arrays, which it builds for its whole chunk at once.
+    A distribution that serves many steps keeps the lookups a coding step makes
+    as Python-native sequences (`array.array`), which give Python ints: order,
+    rank and, in the run layout, run_start and run_of, the run of each rank. A
+    stream's distribution keeps them as numpy arrays, which it builds for its
+    whole chunk at once.
     """
 
-    __slots__ = (
-        "weights", "total", "top", "order", "rank", "run_start", "run_w", "run_len", "runs",
-        "run_of")
+    __slots__ = ("weights", "total", "top", "order", "rank", "run_start", "run_w", "runs", "run_of")
 
     def __init__(self, weights, sorted_row=None):
         """`sorted_row` is what `_distributions` derived for these weights from the table it
-        sorted at once: (total, top, order, rank, run_start, run_w, run_len, runs, run_of).
-        Without it the weights are sorted here and laid out as a context's."""
+        sorted at once: (total, top, order, rank, run_start, run_w, runs, run_of). Without it
+        the weights are sorted here and laid out as a context's."""
         if sorted_row is None:
             weights = np.asarray(weights, dtype=np.int64)
             (total,), (top,), (ok,), sw, order, rank = _sort_rows(weights[None])
@@ -98,19 +93,19 @@ class PixelDistribution:
                 raise _not_a_distribution(weights.tolist())
             sorted_row = (total, top, *_run_layout(sw, order, rank)[0])
         self.weights = weights
-        (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.run_len,
-         self.runs, self.run_of) = sorted_row
+        (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.runs,
+         self.run_of) = sorted_row
 
 
-def _not_a_distribution(weights: list[int]) -> ValueError:
+def _not_a_distribution(weights: list[int]) -> NotADistribution:
     """Why 256 weights, as exact Python ints, are no distribution."""
     if min(weights) < 0:
-        return ValueError("weights must be non-negative")
+        return NotADistribution("weights must be non-negative")
     why = f"total {sum(weights)} outside (0, 2^40)"
     top = max(weights)
     if top >= WEIGHT_TOTAL_LIMIT:
         why = f"weight {top} of value {weights.index(top)} is not below 2^40, {why}"
-    return ValueError(why)
+    return NotADistribution(why)
 
 
 def _sort_rows(w: np.ndarray) -> tuple:
@@ -142,10 +137,10 @@ def _sort_rows(w: np.ndarray) -> tuple:
 
 
 def _run_layout(sw: np.ndarray, order: np.ndarray, rank: np.ndarray) -> list[tuple]:
-    """(order, rank, run_start, run_w, run_len, runs, run_of) of each row of a sorted weight
-    table, for a distribution that serves many steps: its runs of equal weight, as pairs of
-    Python ints too up to FEW_RUNS runs, and one symbol per run above MANY_RUNS. The lookups
-    of a coding step, order, rank, run_start and run_of, are array.array rows."""
+    """(order, rank, run_start, run_w, runs, run_of) of each row of a sorted weight table, for
+    a distribution that serves many steps: its runs of equal weight as pairs of Python ints,
+    and one symbol per run above MANY_RUNS. The lookups of a coding step, order, rank,
+    run_start and run_of, are array.array rows."""
     edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
     runs = edge.sum(axis=1) - 1
@@ -159,21 +154,19 @@ def _run_layout(sw: np.ndarray, order: np.ndarray, rank: np.ndarray) -> list[tup
     out = []
     for row, o, k, r in zip(sw, order.astype("B"), rank.astype("B"), runs.tolist()):
         o, k = array("B", o.tobytes()), array("B", k.tobytes())
-        if r > MANY_RUNS:
-            out.append(_one_symbol_per_run(row, o, k))
+        if r > MANY_RUNS:  # a copy, so that the row views none of the sorted table
+            out.append(_one_symbol_per_run(row.copy(), o, k))
             continue
         start, rw, rl, of = next(kept_rows)
-        out.append((o, k, array("H", start[: r + 1].tobytes()), rw[:r].copy(), rl[:r].copy(),
-                    tuple(zip(rw[:r].tolist(), rl[:r].tolist())) if r <= FEW_RUNS else None,
-                    array("B", of.tobytes())))
+        out.append((o, k, array("H", start[: r + 1].tobytes()), None,
+                    tuple(zip(rw[:r].tolist(), rl[:r].tolist())), array("B", of.tobytes())))
     return out
 
 
 def _one_symbol_per_run(row: np.ndarray, order: Sequence[int], rank: Sequence[int]) -> tuple:
-    """(order, rank, run_start, run_w, run_len, runs, run_of) of a sorted weight row stored
-    one symbol per run, with no run bookkeeping: so is every row of a distribution that
-    serves one step."""
-    return order, rank, ALL_RANKS, row, ONE_EACH, None, None
+    """(order, rank, run_start, run_w, runs, run_of) of a sorted weight row stored one symbol
+    per run, with no run bookkeeping: so is every row of a distribution that serves one step."""
+    return order, rank, ALL_RANKS, row, None, None
 
 
 def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stegosampler
 from stegosampler import cli, coder, corpus, models, pnm
@@ -171,6 +175,26 @@ class TestEmbedExtract:
         where = "step 4 (row 1, column 1, channel 0) at prc 30: stream has 4 steps, step 4 requested"
         assert where in line
 
+    @pytest.mark.parametrize("command", ["embed", "extract"])
+    def test_count_past_2_40_names_its_step(self, command, tmp_path, capsys):
+        # a count of 2^41 in the (edge, edge) context, which the first step reads
+        model = models.ContextModel(1, buckets=4)
+        model.counts[0, 4, 4, 0] = 1 << 41
+        models.save_model(model, tmp_path / "heavy.pscm")
+        (tmp_path / "m.bin").write_bytes(b"")
+        pnm.write_image(pnm.ImageGrid(3, 2, 1, bytearray(6)), tmp_path / "s.pgm")
+        argv = {
+            "embed": ["--message", str(tmp_path / "m.bin"), "--width", "3", "--height", "2",
+                      "--raw", "--seed", "1", "--out", str(tmp_path / "o.pgm")],
+            "extract": ["--image", str(tmp_path / "s.pgm"), "--raw", "--out", str(tmp_path / "o.bin")],
+        }[command]
+        code = run(command, "--model", str(tmp_path / "heavy.pscm"), "--prc", "30", *argv)
+        assert code == 2
+        line = assert_one_error_line(capsys)
+        where = "step 0 (row 0, column 0, channel 0) at prc 30: weight 2199023255553 of value 0"
+        assert where in line
+        assert not (tmp_path / "o.pgm").exists() and not (tmp_path / "o.bin").exists()
+
     def test_determinism(self, tmp_path):
         msg = tmp_path / "m.bin"
         msg.write_bytes(b"fixed")
@@ -302,6 +326,61 @@ def test_out_of_memory_exits_2_with_one_line(error, bad_inputs, monkeypatch, cap
     assert cli.main(argv) == 2
     assert assert_one_error_line(capsys) == f"error: {str(error) or 'MemoryError'}"
     assert not os.path.exists(f"{bad_inputs['d']}/s.pgm")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs():
+    """The bytes of a gray context model, a 36-step stream, a 6x6 stego image that the stream
+    embedded, and a message."""
+    model = models.train_context_model(corpus.stroke_corpus(4, 4, 4, 1, seed=1), buckets=4)
+    table = np.random.default_rng(2).integers(1, 1 << 16, (36, 256))
+    grid, _ = coder.embed_image(models.StreamModel(table), 6, 6, 1, b"hi", pad_seed=1)
+    return {"pscm": models.save_model(model, None), "psds": models.save_stream(table, None),
+            "pgm": pnm.write_image(grid), "msg": b"hi"}
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` truncated, with one bit flipped, or with a slice of itself spliced over another;
+    the flips and splices favour the header."""
+    n = len(blob)
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, n - 1))]
+    at = st.one_of(st.integers(0, 16), st.integers(0, n - 1))
+    if kind == "flip":
+        i = min(draw(at), n - 1)
+        return blob[:i] + bytes([blob[i] ^ 1 << draw(st.integers(0, 7))]) + blob[i + 1 :]
+    start, cut = min(draw(at), n), draw(st.integers(0, 64))
+    src = draw(st.integers(0, n))
+    return blob[:start] + blob[src : src + draw(st.integers(0, 64))] + blob[start + cut :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["pscm", "psds", "pgm"]), st.sampled_from([2, 6]), st.data())
+def test_mutated_inputs_exit_with_one_line(valid_inputs, target, side, data):
+    """Embed and extract with a mutated model, stream or image return 0, 2, 3 or 4, and print
+    exactly one error line when they fail, never a traceback. A 2x2 embed cannot confirm the
+    framed message."""
+    files = dict(valid_inputs)
+    files[target] = data.draw(mutated(files[target]), label=target)
+    with tempfile.TemporaryDirectory() as d:
+        for name, blob in files.items():
+            with open(f"{d}/in.{name}", "wb") as f:
+                f.write(blob)
+        embed = f"--message {d}/in.msg --width {side} --height {side} --seed 1 --out {d}/o.pgm"
+        for model in (f"--model {d}/in.pscm", f"--dist-stream {d}/in.psds"):
+            for argv, codes in [
+                (f"embed {model} {embed}", (0, 2, 3)),
+                (f"extract {model} --image {d}/in.pgm --out {d}/o.bin", (0, 2, 4)),
+            ]:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(argv.split())
+                lines = err.getvalue().splitlines()
+                assert code in codes, (argv, lines)
+                assert len(lines) == (code != 0), (argv, lines)
+                assert all(line.startswith("error:") for line in lines), lines
 
 
 class TestAnalyze:

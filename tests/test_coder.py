@@ -9,6 +9,7 @@ from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
     BrokenInvariant,
     CapacityExceeded,
+    ChannelMismatch,
     CoderState,
     NoParityMass,
     UndecodablePixel,
@@ -22,11 +23,11 @@ from stegosampler.coder import (
     quantize,
 )
 from stegosampler.models import (
-    FEW_RUNS,
     INT64_MAX,
     MANY_RUNS,
     DegenerateModel,
     FixedModel,
+    NotADistribution,
     PixelDistribution,
     StreamModel,
     UniformModel,
@@ -179,6 +180,15 @@ class TestImages:
         with pytest.raises(UndecodablePixel, match=where):
             extract_image(model, grid, prc=30, framed=False)
 
+    def test_no_distribution_names_its_step(self):
+        table = np.ones((6, 256), dtype=np.int64)
+        table[4] = 0  # row 1, column 1 of a 3x2 gray image
+        where = r"step 4 \(row 1, column 1, channel 0\) at prc 30: total 0 outside"
+        with pytest.raises(NotADistribution, match=where):
+            embed_image(StreamModel(table), 3, 2, 1, b"", prc=30, framed=False, pad_seed=0)
+        with pytest.raises(NotADistribution, match=where):
+            extract_image(StreamModel(table), ImageGrid.blank(3, 2, 1), prc=30, framed=False)
+
     def test_prc_range(self):
         with pytest.raises(ValueError):
             embed_image(UniformModel(), 2, 2, 1, b"", prc=7, framed=False)
@@ -225,6 +235,15 @@ class TestLsbBaseline:
         ones = grid.data.count(1)
         assert grid.data.count(3) == 400 - ones
         assert 60 < ones < 140  # about 1 in 4
+
+    @pytest.mark.parametrize("trained, channels", [(1, 3), (3, 1)])
+    def test_channel_mismatch(self, trained, channels):
+        """The baseline refuses a model of another channel count, as embed and extract do."""
+        corpus = [ImageGrid.blank(2, 2, trained)]
+        model = train_context_model(corpus, buckets=4)
+        want = rf"model has {trained} channel\(s\), image has {channels}"
+        with pytest.raises(ChannelMismatch, match=want):
+            lsb_embed(model, 2, 2, channels, b"\xff", rng_seed=0, pad_seed=0)
 
 
 def weight_arrays():
@@ -277,6 +296,8 @@ EDGE = [1 << 30, *range(255, 0, -1)]
 # the top two weights equal: at a width of 2^33, width times run_w[1] is 2^63 as well, so a
 # wrapped product no longer falls on run 0 alone, whose error the deficit would absorb
 TWIN_EDGE = [1 << 30, 1 << 30, *range(254, 0, -1)]
+# MANY_RUNS runs of weights below 2^32: at prc 62 their products pass int64 too
+WIDE_MANY_RUNS = [w * ((1 << 26) - 1) for w in with_runs(MANY_RUNS)]
 
 
 def wide_weight_arrays():
@@ -301,12 +322,11 @@ def registers(draw):
 @given(wide_weight_arrays(), registers())
 # 8-bit register, 1-bit weights: two runs
 @example([1] * 256, (8, 0, 255)).via("Python ints, two runs")
-# the most runs that take Python ints, and one run more, which takes int64
-@example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
-@example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
-# the most runs kept as runs of equal weight, and one run more, stored one symbol per run
-@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("int64 path, MANY_RUNS runs")
+# the most runs kept as runs of equal weight, which take Python ints, and one run more,
+# stored one symbol per run, which takes int64; then the most runs again, past the guard
+@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, MANY_RUNS runs")
 @example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, one symbol per run")
+@example(WIDE_MANY_RUNS, (62, 0, (1 << 62) - 1)).via("Python ints, MANY_RUNS runs past the guard")
 # widest int64 case: width times the top weight, which bounds every product, at most 2^63 - 1
 @example(EDGE, (33, 0, INT64_MAX // EDGE[0] - 1)).via("int64 path, edge")
 # one unit of width more: width times the top weight passes 2^63 - 1, so the guard sends 256
@@ -328,7 +348,7 @@ def test_quantize_matches_exact_oracle(weights, register):
 @st.composite
 def run_weights(draw):
     """256 weights drawn from up to 256 values, zeros included, so that runs are long or short
-    and their count falls on both sides of FEW_RUNS and of MANY_RUNS."""
+    and their count falls on both sides of MANY_RUNS."""
     bits = draw(st.sampled_from([2, 8, 24, 32]))
     values = draw(st.lists(st.integers(1 << (bits - 1), (1 << bits) - 1), min_size=1, max_size=256))
     w = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
@@ -355,12 +375,11 @@ def clone(state):
 @given(run_weights(), scaled_registers())
 # one run of 255 equal symbols behind rank 0
 @example([5] * 256, (26, 0, (1 << 26) - 1)).via("Python ints, two runs")
-# the most runs that take Python ints, and one run more, which takes int64
-@example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, FEW_RUNS runs")
-@example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, FEW_RUNS + 1 runs")
-# the most runs kept as runs of equal weight, and one run more, stored one symbol per run
-@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("int64 path, MANY_RUNS runs")
+# the most runs kept as runs of equal weight, which take Python ints, and one run more,
+# stored one symbol per run, which takes int64; then the most runs again, past the guard
+@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, MANY_RUNS runs")
 @example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, one symbol per run")
+@example(WIDE_MANY_RUNS, (62, 0, (1 << 62) - 1)).via("Python ints, MANY_RUNS runs past the guard")
 # a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("Python ints, zero tail")
 # many runs past the guard
@@ -380,12 +399,11 @@ def test_derived_cut_matches_the_oracle(weights, register):
 @given(run_weights(), scaled_registers(), st.integers(0, 2**64 - 1))
 # one run of 255 equal symbols behind rank 0
 @example([5] * 256, (26, 0, (1 << 26) - 1), 12345).via("Python ints, two runs")
-# the most runs that take Python ints, and one run more, which takes int64
-@example(with_runs(FEW_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("Python ints, FEW_RUNS runs")
-@example(with_runs(FEW_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, FEW_RUNS + 1 runs")
-# the most runs kept as runs of equal weight, and one run more, stored one symbol per run
-@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, MANY_RUNS runs")
+# the most runs kept as runs of equal weight, which take Python ints, and one run more,
+# stored one symbol per run, which takes int64; then the most runs again, past the guard
+@example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("Python ints, MANY_RUNS runs")
 @example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, one symbol per run")
+@example(WIDE_MANY_RUNS, (62, 0, (1 << 62) - 1), 1 << 61).via("Python ints, MANY_RUNS runs past the guard")
 # a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1), 1 << 61).via("Python ints, zero tail")
 # many runs past the guard

@@ -31,7 +31,6 @@ from stegosampler.metrics import (
 from stegosampler.models import (
     INT64_MAX,
     MANY_RUNS,
-    ONE_EACH,
     FixedModel,
     PixelDistribution,
     StreamModel,
@@ -119,7 +118,7 @@ class TestDivergences:
     def test_absolute_continuity(self):
         # a distribution whose top rank has zero weight: the deficit puts q's mass there
         d = dist(**{"5": 1, "9": 1})
-        d.run_w = np.roll(d.run_w, 1)
+        d.runs = d.runs[-1:] + d.runs[:-1]
         with pytest.raises(AbsoluteContinuityViolated):
             step_stats([d], [1])
 
@@ -193,8 +192,8 @@ def test_step_stats_of_one_symbol_rows_match_their_runs(seed, prc):
     with mock.patch.object(models, "MANY_RUNS", 256):  # every row stored as its runs
         as_runs = [PixelDistribution(w) for w in table]
         want = step_stats(as_runs, widths)
-    one_symbol = np.array([len(d.run_w) > MANY_RUNS for d in as_runs])
-    assert all((PixelDistribution(w).run_len is ONE_EACH) == m for w, m in zip(table, one_symbol))
+    one_symbol = np.array([len(d.runs) > MANY_RUNS for d in as_runs])
+    assert all((PixelDistribution(w).runs is None) == m for w, m in zip(table, one_symbol))
     np.testing.assert_array_equal(got[~one_symbol, 0], want[~one_symbol, 0])
     # H(p) and H(q) sum terms of one sign: another summation order of up to 256 of them moves
     # the sum by at most about 2 * 256 * 2^-53 of itself, under 1e-13. KLD and JSD sum terms of
@@ -251,7 +250,7 @@ def test_stats_chunks_stay_within_their_cells(plan, seed):
     real = metrics.step_stats
 
     def traced(dists, widths):
-        runs = max((len(d.run_w) for d in dists), default=0)
+        runs = max((len(d.runs or d.run_w) for d in dists), default=0)
         calls.append((depth[0], len(dists), runs, len(set(map(id, dists)))))
         depth[0] += 1
         try:

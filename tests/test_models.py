@@ -16,16 +16,15 @@ from stegosampler.models import (
     ALL_RANKS,
     INT64_MAX,
     MANY_RUNS,
-    ONE_EACH,
     BadMagic,
     ContextModel,
     CorruptTable,
     DegenerateModel,
     EmptyCorpus,
-    FEW_RUNS,
     FixedModel,
     MixedChannelCorpus,
     NegativeProbability,
+    NotADistribution,
     STREAM_CHUNK,
     PixelDistribution,
     StreamExhausted,
@@ -119,7 +118,7 @@ class TestTraining:
                 assert model.context_of(*query) == left * (B + 1) + up
                 got = model.distribution(*query)
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
-                for field in ("weights", "total", "order", "rank", "run_start", "run_w", "run_len"):
+                for field in ("weights", "total", "order", "rank", "run_start", "run_w"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
                 assert (got.top, got.runs) == (want.top, want.runs), (left, up)
 
@@ -280,47 +279,44 @@ class TestStream:
         rng = np.random.default_rng(4)
         table = rng.choice([0, 1, 3, 1 << 31], (600, 256))
         table[::7] = rng.integers(0, 1 << 32, (86, 256))
-        # from 17 to 256 values: rows on both sides of FEW_RUNS and of MANY_RUNS
+        # from 17 to 256 values: rows on both sides of MANY_RUNS
         for step in range(3, 600, 7):
             table[step] = rng.choice(rng.integers(0, 1 << 20, step % 240 + 17), 256)
         table[:, 9] += 1
-        for step, runs in zip((5, 6, 12, 13), (FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1)):
+        for step, runs in zip((12, 13), (MANY_RUNS, MANY_RUNS + 1)):
             table[step] = rng.permutation([max(runs - v, 1) for v in range(256)])  # `runs` runs
         table[300] = 0
         table[300, 17] = (1 << 40) - 1  # the largest weight a distribution can hold
         model = StreamModel(table)
         assert 600 % STREAM_CHUNK and 600 > 2 * STREAM_CHUNK
         layouts = [len(runs_of(np.sort(row)[::-1])) for row in table]
-        assert {FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1} <= set(layouts)
-        assert min(layouts) < FEW_RUNS and max(layouts) > MANY_RUNS + 1
+        assert {MANY_RUNS, MANY_RUNS + 1} <= set(layouts)
+        assert min(layouts) < MANY_RUNS and max(layouts) > MANY_RUNS + 1
         states = [CoderState(8), CoderState(26, low=12345, high=(1 << 26) - 7), CoderState(62)]
         past_int64 = {state.prc: 0 for state in states}  # steps tiled in Python ints
         for step in range(600):
             got = model.distribution(None, SequencePosition(step, 0, step, 0))
             want = PixelDistribution(table[step])
             assert (got.total, got.top) == (want.total, want.top)
-            assert type(got.top) is int and got.top == want.run_w[0]
+            assert type(got.top) is int and got.top == got.run_w[0]
             for field in ("weights", "order", "rank"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
             order = np.argsort(-table[step], kind="stable")
             assert np.array_equal(got.order, order)
             assert np.array_equal(got.rank, np.argsort(order))
-            assert got.run_start is ALL_RANKS and got.run_len is ONE_EACH, step
+            assert got.run_start is ALL_RANKS, step
             assert np.array_equal(got.run_w, table[step][order]), step
-            assert got.runs is None, step
+            assert got.runs is None and got.run_of is None, step
             # the standalone distribution serves many steps, so it keeps its runs
             runs = runs_of(table[step][order])
             if len(runs) > MANY_RUNS:  # one symbol per run
-                assert want.run_start is ALL_RANKS and want.run_len is ONE_EACH, step
+                assert want.run_start is ALL_RANKS and want.runs is None, step
                 assert np.array_equal(want.run_w, table[step][order]), step
-                assert want.runs is None, step
             else:
-                assert runs == list(zip(want.run_start, want.run_w, want.run_len)), step
-                if len(runs) > FEW_RUNS:
-                    assert want.runs is None, step
-                else:
-                    assert want.runs == tuple((w, n) for _, w, n in runs), step
-                    assert all(type(x) is int for pair in want.runs for x in pair), step
+                assert want.run_w is None, step
+                assert list(want.run_start) == [first for first, _, _ in runs] + [256], step
+                assert want.runs == tuple((w, n) for _, w, n in runs), step
+                assert all(type(x) is int for pair in want.runs for x in pair), step
             for state in states:
                 past_int64[state.prc] += state.width * got.top > INT64_MAX
                 assert quantize(got, state).cut == quantize(want, state).cut, (step, state.prc)
@@ -333,7 +329,7 @@ class TestStream:
         model = StreamModel(table)
         for step in range(280):
             model.distribution(None, SequencePosition(step, 0, step, 0))
-        with pytest.raises(ValueError, match="total 0"):
+        with pytest.raises(NotADistribution, match="total 0"):
             model.distribution(None, SequencePosition(280, 0, 280, 0))
 
     def test_load_rejects_all_zero_step(self):
@@ -424,7 +420,7 @@ def test_training_order_independent(perm):
 @st.composite
 def many_step_distributions(draw):
     """(weights, distribution) of a distribution that serves many steps: random weights with
-    ties, a row of FEW_RUNS or MANY_RUNS runs or one more, or a trained context."""
+    ties, a row of MANY_RUNS runs or one more, or a trained context."""
     kind = draw(st.sampled_from(["ties", "edge", "context"]))
     if kind == "context":
         model, _ = draw(trained_model_and_image())
@@ -437,7 +433,7 @@ def many_step_distributions(draw):
         weights = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
         weights[draw(st.integers(0, 255))] = values[0]  # total > 0
     else:
-        runs = draw(st.sampled_from([FEW_RUNS, FEW_RUNS + 1, MANY_RUNS, MANY_RUNS + 1]))
+        runs = draw(st.sampled_from([MANY_RUNS, MANY_RUNS + 1]))
         scale = draw(st.integers(1, 1 << 24))
         weights = draw(st.permutations([max(runs - v, 1) * scale for v in range(256)]))
     return np.array(weights, dtype=np.int64), PixelDistribution(weights)
@@ -478,10 +474,12 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
     assert [dist.order[dist.rank[v]] for v in range(256)] == list(range(256))
     lookups = [dist.order, dist.rank]
     if dist.run_of is None:
-        assert dist.run_start is ALL_RANKS and dist.run_len is ONE_EACH
+        assert dist.run_start is ALL_RANKS and dist.runs is None
+        assert dist.run_w.base is None  # views none of the sorted table
         assert len(runs_of(weights[order])) > MANY_RUNS
     else:
-        lookups += [dist.run_start, dist.run_of]
+        lookups += [dist.run_start, dist.run_of, *dist.runs]
+        assert dist.run_w is None
         assert list(dist.run_start) == [first for first, _, _ in runs_of(weights[order])] + [256]
         assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
     assert all(type(x) is int for table in lookups for x in table)
@@ -492,9 +490,9 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
 
 
 def test_sorted_contexts_stay_compact():
-    """A context's step lookups are compact arrays, and its run weights and lengths own their
-    data rather than viewing the (contexts, 256) tables they were cut from: sorting the 75
-    contexts of an RGB noise model holds under 5 KiB per distinct distribution."""
+    """A context's step lookups are compact arrays, and its runs are pairs of Python ints that
+    view none of the (contexts, 256) tables they were cut from: sorting the 75 contexts of an
+    RGB noise model holds under 5 KiB per distinct distribution."""
     model = train_context_model(noise_corpus(100, 32, 32, 3, seed=3), buckets=4)
     tracemalloc.start()
     try:
@@ -504,7 +502,7 @@ def test_sorted_contexts_stay_compact():
         tracemalloc.stop()
     distinct = {id(d): d for d in model._dists}.values()
     assert len(distinct) == 75
-    assert all(d.run_w.base is None and d.run_len.base is None for d in distinct)
+    assert all(d.run_w is None and type(d.runs) is tuple for d in distinct)
     assert held < 5 * 1024 * len(distinct), f"{held} B held for {len(distinct)} distributions"
 
 
