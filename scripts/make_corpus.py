@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Write a synthetic stroke corpus as PGM/PPM files for CLI training."""
+"""Write a synthetic stroke corpus as PGM/PPM files for CLI training.
+
+A bad argument or an unwritable output ends in one `error:` line and exit code 2, as in the
+stegosampler CLI."""
 import argparse
 import os
+import sys
 
-from stegosampler import corpus, pnm
+from stegosampler import cli, corpus, pnm
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--count", type=int, default=500)
@@ -17,16 +21,21 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    os.makedirs(args.out, exist_ok=True)
     channels = 3 if args.rgb else 1
     ext = "ppm" if args.rgb else "pgm"
-    images = corpus.stroke_corpus(
-        args.count, args.width, args.height, channels, seed=args.seed, noise=args.noise
-    )
-    for i, img in enumerate(images):
-        pnm.write_image(img, os.path.join(args.out, f"stroke_{i:05d}.{ext}"))
+    try:
+        images = corpus.stroke_corpus(
+            args.count, args.width, args.height, channels, seed=args.seed, noise=args.noise
+        )
+        os.makedirs(args.out, exist_ok=True)
+        for i, img in enumerate(images):
+            pnm.write_image(img, os.path.join(args.out, f"stroke_{i:05d}.{ext}"))
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return cli.EXIT_CONFIG
     print(f"wrote {len(images)} images to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -373,9 +373,16 @@ def load_model(source) -> ContextModel:
 
 def save_stream(weights_per_step: np.ndarray, sink) -> bytes:
     table = np.asarray(weights_per_step)
-    if ((table < 0) | (table >= 1 << 32)).any():
+    if table.ndim != 2 or table.shape[1] != 256:
+        raise ValueError(f"stream table must be shaped (steps, 256), got {table.shape}")
+    kind = table.dtype.kind
+    # NaN is not its own trunc; +-inf is, and fails the range check
+    if kind not in "biuf" or kind == "f" and (np.trunc(table) != table).any():
+        raise ValueError("stream weights must be integers")
+    fits = kind in "bu" and table.dtype.itemsize <= 4  # no value of the dtype needs the check
+    if not fits and ((table < 0) | (table >= 1 << 32)).any():
         raise ValueError("stream weights must lie in [0, 2^32)")
-    table = table.astype("<u4")
+    table = table.astype("<u4", copy=False)
     blob = STREAM_MAGIC + struct.pack(STREAM_HEADER, 1, table.shape[0]) + table.tobytes()
     return write_bytes(blob, sink)
 

@@ -1,9 +1,12 @@
 """The synthetic corpora, pinned by SHA-256 so that the images and the models trained on them
 cannot drift: the stroke walk's draws, the pen's rasterization and the noise pass."""
 import hashlib
+import math
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stegosampler import corpus, models
 
@@ -27,6 +30,37 @@ def test_noisy_rgb_corpus_is_pinned():
     assert digest(images) == "5e25034d6f523f14f66ab2dc76a221011fb83b2c947782b4895b7051b927c607"
 
 
+def per_step_walks(count, width, height, rng):
+    """The walk as a loop of one `rng.uniform` and one `+=` per step: the oracle of
+    `corpus._pen_walks`."""
+    xs, ys, ends = array("d"), array("d"), array("q")
+    for _ in range(count):
+        for _ in range(rng.randint(1, 2)):
+            x = width / 2 + rng.uniform(-width / 6, width / 6)
+            y = height / 2 + rng.uniform(-height / 6, height / 6)
+            angle = rng.uniform(0, 2 * math.pi)
+            for _ in range(int(1.5 * max(width, height))):
+                angle += rng.uniform(-0.5, 0.5)
+                x += math.cos(angle)
+                y += math.sin(angle)
+                xs.append(x)
+                ys.append(y)
+        ends.append(len(xs))
+    return xs, ys, ends
+
+
+@settings(deadline=None)
+@given(st.integers(0, 40), st.integers(1, 80), st.integers(1, 80), st.integers())
+def test_walks_match_the_per_step_loop(count, width, height, seed):
+    """Bit for bit, and both leave `rng` in the same state, so the noise pass that follows
+    draws what it drew after the loop."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    got = corpus._pen_walks(count, width, height, rng)
+    want = per_step_walks(count, width, height, oracle_rng)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert rng.getstate() == oracle_rng.getstate()
+
+
 @pytest.mark.parametrize("channels, pinned", [
     (1, "964ac1b6d6dcefc9ce1c221bf31b8d59c04fdd141298c74b2f3f6f4890db5a64"),
     (3, "1d4b08f3fba5032a15076fe3e82a01a6e62cab59a703d7497efa174fea88e1a0"),
@@ -47,3 +81,14 @@ def test_empty_corpus_and_bad_shapes():
         corpus.stroke_corpus(1, 0, 2)
     with pytest.raises(ValueError, match="channels must be 1 or 3"):
         corpus.stroke_corpus(1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"count": -1}, "count must not be negative"),
+    ({"noise": -0.1}, "noise must lie in"),
+    ({"noise": 1.5}, "noise must lie in"),
+    ({"noise": math.nan}, "noise must lie in"),
+])
+def test_bad_count_or_noise_is_refused(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        corpus.stroke_corpus(**{"count": 3, **kwargs})

@@ -264,12 +264,30 @@ class TestStream:
         save_stream(np.ones((1, 256)), path)
         assert load_stream(path).steps == 1
 
-    @pytest.mark.parametrize("value", [-1, 1 << 32, 1 << 33])
+    @pytest.mark.parametrize("value", [
+        -1, 1 << 32, 1 << 33, 1.5, -0.5, 2.0 ** 32 - 0.5, np.nan, np.inf, -np.inf])
     def test_save_rejects_weights_outside_u32(self, value):
-        table = np.ones((2, 256), dtype=np.int64)
+        """Of an integer table, and of a float table, which must hold integers only."""
+        table = np.ones((2, 256), dtype=np.float64 if isinstance(value, float) else np.int64)
         table[1, 5] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stream weights must"):
             save_stream(table, None)
+
+    @pytest.mark.parametrize("shape", [(256,), (2, 255), (2, 256, 1), (1, 2, 256)])
+    def test_save_rejects_a_table_not_shaped_steps_by_256(self, shape):
+        with pytest.raises(ValueError, match=r"\(steps, 256\)"):
+            save_stream(np.ones(shape, dtype=np.int64), None)
+
+    def test_save_rejects_a_table_of_no_integer_or_float_dtype(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            save_stream(np.full((1, 256), 1 + 0j), None)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64, np.float32,
+                                       np.float64, bool])
+    def test_save_keeps_integral_weights_of_any_dtype(self, dtype):
+        table = (np.arange(3 * 256).reshape(3, 256) % 5 + 1).astype(dtype)
+        table[2, 9] = 0
+        assert (load_stream(save_stream(table, None)).table == table.astype(np.int64)).all()
 
     def test_chunks_build_what_single_rows_build(self):
         """A stream's distribution serves one step, so each chunk row is stored one symbol per

@@ -12,13 +12,13 @@ from stegosampler import corpus, pnm
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, code=0):
     src = os.path.dirname(os.path.dirname(stegosampler.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, name), *args], capture_output=True, text=True,
         cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     return done.stdout.splitlines(), done.stderr
 
 
@@ -33,6 +33,16 @@ def test_make_corpus_writes_the_stroke_corpus(tmp_path, rgb):
     assert [(g.width, g.height, g.channels, bytes(g.data)) for g in got] == [
         (9, 7, channels, bytes(w.data)) for w in want]
     assert len(os.listdir(tmp_path / "c")) == 3
+
+
+@pytest.mark.parametrize("arg, value, message", [
+    ("--count", "-3", "count must not be negative, got -3"),
+    ("--width", "0", "image dimensions must be positive"),
+], ids=["count", "width"])
+def test_make_corpus_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, message):
+    out, err = run_script("make_corpus.py", "--out", "c", arg, value, cwd=tmp_path, code=2)
+    assert out == [] and err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "c").exists()
 
 
 def test_run_desk_eval_prints_and_writes_its_summary(tmp_path):
