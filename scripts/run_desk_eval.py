@@ -5,13 +5,17 @@ Trains a context model on a synthetic stroke corpus, generates stego-images
 with the arithmetic-coding sampler and with the LSB rejection baseline, and
 prints mean +/- std for ER and for the distortion between the effective
 sampling distribution q and the model distribution p.
+
+A bad argument or an unwritable output ends in one `error:` line and exit code 2, as in the
+stegosampler CLI.
 """
 import argparse
+import sys
 import time
 
 import numpy as np
 
-from stegosampler import coder, corpus, metrics, models, pnm
+from stegosampler import cli, coder, corpus, metrics, models, pnm
 
 
 def lsb_step_kld(dist, bit):
@@ -22,7 +26,7 @@ def lsb_step_kld(dist, bit):
     return -float(np.log2(mass / dist.total))
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=200, help="images per method")
     ap.add_argument("--width", type=int, default=28)
@@ -35,7 +39,18 @@ def main():
     ap.add_argument("--out-entropy-map", default="entropy_map.pgm")
     ap.add_argument("--out-bits-map", default="bits_map.pgm")
     args = ap.parse_args()
+    if args.count < 1:  # refused before the model is trained
+        print(f"error: count must be at least 1, got {args.count}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+    try:
+        evaluate(args)
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+    return 0
 
+
+def evaluate(args) -> None:
     t0 = time.perf_counter()
     strokes = corpus.stroke_corpus(
         args.corpus_size, args.width, args.height, 1, seed=args.seed
@@ -87,4 +102,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

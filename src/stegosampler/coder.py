@@ -9,14 +9,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import INT64_MAX, NotADistribution, PixelDistribution, StreamExhausted
+from .models import INT64_MAX, ContextModel, NotADistribution, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -265,13 +265,19 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
     _check_run(model, image.channels, prc)
     state = CoderState(prc)
     out = BitString()
+    shape = image.width, image.height, image.channels
+    if isinstance(model, ContextModel):  # the whole image is known: every context at once
+        dists = model.image_distributions(image)
+    else:
+        dists = map(model.distribution, repeat(image), sequence_positions(*shape))
+    step = 0  # the step reached, whose position a failure rebuilds
     try:
-        for pos in sequence_positions(image.width, image.height, image.channels):
-            dist = model.distribution(image, pos)
-            prefix, s = extract_step(state, dist, image.data[pos.index])
+        for dist, pixel in zip(dists, image.data):
+            prefix, s = extract_step(state, dist, pixel)
             out.append(prefix, s)
+            step += 1
     except (UndecodablePixel, StreamExhausted, NotADistribution) as e:
-        raise _located(e, pos, prc) from None
+        raise _located(e, next(islice(sequence_positions(*shape), step, None)), prc) from None
     state.check()
     return out
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -292,6 +292,18 @@ class ContextModel:
         row = self.context_of(prefix, pos)
         # a context whose weights are no distribution raises only when asked for
         return self._dists[row] or self._refuse(row)
+
+    def image_distributions(self, image: ImageGrid) -> Iterator[PixelDistribution]:
+        """The distribution of every step of a known image, in coding order: the context rows
+        of the whole image at once, then one list index per step. As in `distribution`, a
+        context whose weights are no distribution raises only when its step is reached."""
+        if self._dists is None:
+            self._sort_contexts()
+        shape = (1, image.height, image.width, image.channels)
+        rows = self.context_rows(np.frombuffer(image.data, dtype=np.uint8).reshape(shape))
+        dists, refuse = self._dists, self._refuse
+        # a memoryview of the uint32 ids gives Python ints and holds no list of them
+        return (dists[row] or refuse(row) for row in memoryview(rows.ravel()))
 
     def _refuse(self, row: int) -> NoReturn:
         """Raise why context `row` is no distribution, from its stored counts as exact ints."""

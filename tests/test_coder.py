@@ -16,6 +16,7 @@ from stegosampler.coder import (
     _apply,
     embed_image,
     embed_step,
+    extract_bits,
     extract_image,
     extract_step,
     lsb_embed,
@@ -25,15 +26,17 @@ from stegosampler.coder import (
 from stegosampler.models import (
     INT64_MAX,
     MANY_RUNS,
+    ContextModel,
     DegenerateModel,
     FixedModel,
     NotADistribution,
     PixelDistribution,
+    StreamExhausted,
     StreamModel,
     UniformModel,
     train_context_model,
 )
-from stegosampler.pnm import ImageGrid
+from stegosampler.pnm import ImageGrid, sequence_positions
 
 UNIFORM = PixelDistribution(np.ones(256, dtype=np.int64))
 
@@ -528,6 +531,82 @@ def test_stream_codes_what_rows_sorted_alone_code(weights, prc, framed, payload,
     grid = ImageGrid(len(weights), 1, 1, bytearray(got[0]))
     assert extract_image(StreamModel(weights), grid, prc, framed) == extract_image(
         RowsAloneModel(weights), grid, prc, framed)
+
+
+def per_step_extract(model, image, prc):
+    """The extract loop that looks up each step's distribution through model.distribution, and
+    locates a failure at the position of the step it is raised in."""
+    state, out = CoderState(prc), BitString()
+    try:
+        for pos in sequence_positions(image.width, image.height, image.channels):
+            dist = model.distribution(image, pos)
+            prefix, s = extract_step(state, dist, image.data[pos.index])
+            out.append(prefix, s)
+    except (UndecodablePixel, StreamExhausted, NotADistribution) as e:
+        where = f"step {pos.index} (row {pos.row}, column {pos.col}, channel {pos.channel})"
+        raise type(e)(f"{where} at prc {prc}: {e}") from None
+    state.check()
+    return out
+
+
+def extract_outcome(extract, model, image, prc):
+    """(bytes, bit length) of what `extract` recovers, or (type, message) of what it raises."""
+    try:
+        bits = extract(model, image, prc)
+    except ValueError as e:
+        return type(e), str(e)
+    return bits.to_bytes(), bits.length
+
+
+@st.composite
+def received_images(draw):
+    """(ContextModel, received image): random counts over 1 or 3 channels, 0..8 buckets and
+    smooth 0 or 1, so that with smooth 0 an unseen context is no distribution and an unseen
+    value undecodable; and a 1x1 to 12x12 image of random bytes, or one the model embedded."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels, buckets = draw(st.sampled_from([1, 3])), draw(st.integers(0, 8))
+    rows = channels * (buckets + 1) ** 2
+    # each context's counts lie below 2^bits, for bits from a drawn few: past 31, its total
+    # can reach 2^40; each context is seen or not, and sees a share of the values
+    bits = rng.choice(draw(st.lists(st.sampled_from([1, 4, 16, 31, 33, 41]), min_size=1)), rows)
+    seen = (rng.random((rows, 256)) < rng.random((rows, 1))) & (rng.random((rows, 1)) < 0.8)
+    counts = np.where(seen, rng.integers(1, 1 << bits[:, None], (rows, 256)), 0)
+    model = ContextModel(channels, buckets, draw(st.integers(0, 1)), counts)
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        try:
+            grid, _ = embed_image(model, width, height, channels, b"", prc=draw(st.integers(8, 62)),
+                                  framed=False, pad_seed=draw(st.integers(0, 2**64 - 1)),
+                                  collect=False)
+            return model, grid
+        except NotADistribution:
+            pass
+    alphabet = rng.integers(0, 256, draw(st.sampled_from([1, 2, 256])))  # few values: few contexts
+    data = rng.choice(alphabet, width * height * channels).astype(np.uint8)
+    return model, ImageGrid(width, height, channels, bytearray(data.tobytes()))
+
+
+def heavy_context_model(smooth):
+    """A gray 4-bucket model whose context (0, 0), first read at row 1, column 1, holds a count
+    of 2^41; with smooth 0 only the (edge, edge) context and the first row's value 0 are seen."""
+    model = ContextModel(1, buckets=4, smooth=smooth)
+    model.counts[0, 0, 0, 0] = 1 << 41
+    model.counts[0, 4, 4] = model.counts[0, 0, 4, 0] = 1
+    return model
+
+
+@settings(max_examples=120, deadline=None)
+@given(received_images(), st.integers(8, 62))
+@example((heavy_context_model(1), ImageGrid(4, 3, 1, bytearray(12))), 30).via(
+    "a count of 2^41 first read at step 5")
+@example((heavy_context_model(0), ImageGrid(4, 3, 1, bytearray([0, 7] + [0] * 10))), 30).via(
+    "an undecodable pixel at step 1, before the count of 2^41")
+def test_extract_gives_what_the_per_step_lookup_gives(received, prc):
+    """A context model's extract, which gathers every context of the image at once, recovers
+    the bits of the per-step lookup, or raises its error with its message, step included."""
+    model, image = received
+    got = extract_outcome(extract_bits, model, image, prc)  # first: the contexts are not sorted
+    assert got == extract_outcome(per_step_extract, model, image, prc)
 
 
 def test_check_raises_without_assert():

@@ -45,6 +45,17 @@ def test_make_corpus_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, me
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("arg, value, message", [
+    ("--count", "0", "count must be at least 1, got 0"),
+    ("--width", "0", "image dimensions must be positive"),
+], ids=["count", "width"])
+def test_run_desk_eval_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, message):
+    out, err = run_script("run_desk_eval.py", "--corpus-size", "20", arg, value, cwd=tmp_path,
+                          code=2)
+    assert out == [] and err.splitlines() == [f"error: {message}"]  # nothing trained
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_desk_eval_prints_and_writes_its_summary(tmp_path):
     out, _ = run_script("run_desk_eval.py", "--count", "3", "--corpus-size", "20", cwd=tmp_path)
     assert out[0].startswith("trained on 20 stroke images in ")
