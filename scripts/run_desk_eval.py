@@ -39,10 +39,12 @@ def main() -> int:
     ap.add_argument("--out-entropy-map", default="entropy_map.pgm")
     ap.add_argument("--out-bits-map", default="bits_map.pgm")
     args = ap.parse_args()
-    if args.count < 1:  # refused before the model is trained
-        print(f"error: count must be at least 1, got {args.count}", file=sys.stderr)
-        return cli.EXIT_CONFIG
     try:
+        # refused before the corpus is drawn and the model trained
+        if args.count < 1:
+            raise ValueError(f"count must be at least 1, got {args.count}")
+        coder.check_prc(args.prc)
+        models.check_buckets(args.buckets)
         evaluate(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
-from .models import INT64_MAX, ContextModel, NotADistribution, PixelDistribution, StreamExhausted
+from .models import INT64_MAX, NotADistribution, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
@@ -164,7 +164,7 @@ def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> St
     r = bisect_right(ends, x - deficit)  # the run that holds the window
     if dist.run_of is None:  # one symbol per run: the run is the rank
         start, q_width = _symbol_cell(ends, deficit, r)
-        value = int(dist.order[r])
+        value = dist.order[r]
     else:  # the symbol within the run, all in Python ints
         start, q_width, first = _run_cell(dist.run_start, ends, deficit, r)
         i = (x - start) // q_width
@@ -179,7 +179,7 @@ def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tupl
     _, _, ends, width = quantize(dist, state)
     deficit = width - int(ends[-1])
     if dist.run_of is None:  # one symbol per run: the run is the rank
-        start, q_width = _symbol_cell(ends, deficit, int(dist.rank[pixel]))
+        start, q_width = _symbol_cell(ends, deficit, dist.order.index(pixel))
     else:
         k = dist.rank[pixel]
         start, q_width, first = _run_cell(dist.run_start, ends, deficit, dist.run_of[k])
@@ -196,10 +196,15 @@ def _located(e: ValueError, pos, prc: int) -> ValueError:
     return type(e)(f"{where} at prc {prc}: {e}")
 
 
-def _check_run(model, channels: int, prc: int) -> None:
-    """Embed and extract checks, run once before the first step."""
+def check_prc(prc: int) -> None:
+    """Refuse a register width that embed and extract do not run at."""
     if not PRC_MIN <= prc <= PRC_MAX:
         raise ValueError(f"prc {prc} outside [{PRC_MIN}, {PRC_MAX}]")
+
+
+def _check_run(model, channels: int, prc: int) -> None:
+    """Embed and extract checks, run once before the first step."""
+    check_prc(prc)
     _check_channels(model, channels)
 
 
@@ -266,7 +271,7 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
     state = CoderState(prc)
     out = BitString()
     shape = image.width, image.height, image.channels
-    if isinstance(model, ContextModel):  # the whole image is known: every context at once
+    if hasattr(model, "image_distributions"):  # the whole image is known: gather, then code
         dists = model.image_distributions(image)
     else:
         dists = map(model.distribution, repeat(image), sequence_positions(*shape))

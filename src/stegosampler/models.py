@@ -73,11 +73,12 @@ class PixelDistribution:
       stream's does: one run per symbol, so run_w is the sorted weights,
       run_start is the shared ALL_RANKS, and runs and run_of are None.
 
-    A distribution that serves many steps keeps the lookups a coding step makes
-    as Python-native sequences (`array.array`), which give Python ints: order,
-    rank and, in the run layout, run_start and run_of, the run of each rank. A
-    stream's distribution keeps them as numpy arrays, which it builds for its
-    whole chunk at once.
+    The lookups a coding step makes give Python ints. In the run layout, order,
+    rank (its inverse, order[rank[v]] == v), run_start and run_of, the run of
+    each rank, are `array.array` rows. One symbol per run, order is `bytes`, and
+    rank is None: embed reads order[k], and extract finds a value's rank with
+    order.index(v), one scan of at most 256 bytes, so no step builds a table
+    that a row read once would use for one entry.
     """
 
     __slots__ = ("weights", "total", "top", "order", "rank", "run_start", "run_w", "runs", "run_of")
@@ -88,10 +89,10 @@ class PixelDistribution:
         the weights are sorted here and laid out as a context's."""
         if sorted_row is None:
             weights = np.asarray(weights, dtype=np.int64)
-            (total,), (top,), (ok,), sw, order, rank = _sort_rows(weights[None])
+            (total,), (top,), (ok,), sw, order = _sort_rows(weights[None])
             if not ok:
                 raise _not_a_distribution(weights.tolist())
-            sorted_row = (total, top, *_run_layout(sw, order, rank)[0])
+            sorted_row = (total, top, *_run_layout(sw, order)[0])
         self.weights = weights
         (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.runs,
          self.run_of) = sorted_row
@@ -110,12 +111,11 @@ def _not_a_distribution(weights: list[int]) -> NotADistribution:
 
 def _sort_rows(w: np.ndarray) -> tuple:
     """The shared sort of an int64 (n, 256) weight table, one pass for all rows:
-    (totals, tops, valid, sw, order, rank). Each row's total and top weight are Python
-    ints, and valid says whether it is a distribution at all (no negative weight, every
-    weight below 2^40, so that no total wraps, and a total in (0, 2^40)); an invalid row's
-    sorted arrays are meaningless. sw holds each row's weights in descending order, ties by
-    ascending value, order the symbols in that order, and rank its inverse,
-    order[rank[v]] == v, each as an (n, 256) array."""
+    (totals, tops, valid, sw, order). Each row's total and top weight are Python ints, and
+    valid says whether it is a distribution at all (no negative weight, every weight below
+    2^40, so that no total wraps, and a total in (0, 2^40)); an invalid row's sorted arrays
+    are meaningless. sw holds each row's weights in descending order, ties by ascending
+    value, as an int64 (n, 256) array, and order the symbols in that order, as uint8."""
     if w.ndim != 2 or w.shape[1] != 256:
         raise ValueError("need exactly 256 weights")
     totals = w.sum(axis=1)
@@ -128,19 +128,17 @@ def _sort_rows(w: np.ndarray) -> tuple:
     key <<= 8
     key |= np.arange(256)
     key.sort(axis=1)
-    order = key & 255
+    order = key.astype(np.uint8)  # the key's low byte: the value
     key >>= 8
     sw = np.invert(key, out=key)  # non-increasing
-    rank = np.empty_like(order)  # one flat scatter: rank[i, order[i, k]] = k
-    rank.ravel()[order + 256 * np.arange(len(w))[:, None]] = np.arange(256)
-    return totals.tolist(), sw[:, 0].tolist(), valid.tolist(), sw, order, rank
+    return totals.tolist(), sw[:, 0].tolist(), valid.tolist(), sw, order
 
 
-def _run_layout(sw: np.ndarray, order: np.ndarray, rank: np.ndarray) -> list[tuple]:
+def _run_layout(sw: np.ndarray, order: np.ndarray) -> list[tuple]:
     """(order, rank, run_start, run_w, runs, run_of) of each row of a sorted weight table, for
     a distribution that serves many steps: its runs of equal weight as pairs of Python ints,
-    and one symbol per run above MANY_RUNS. The lookups of a coding step, order, rank,
-    run_start and run_of, are array.array rows."""
+    and one symbol per run above MANY_RUNS. The lookups of a coding step over runs, order,
+    rank, run_start and run_of, are array.array rows; so rank is built only for those rows."""
     edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
     runs = edge.sum(axis=1) - 1
@@ -150,32 +148,41 @@ def _run_layout(sw: np.ndarray, order: np.ndarray, rank: np.ndarray) -> list[tup
     run_w = sw[kept[:, None], run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
     run_len = run_start[:, 1:] - run_start[:, :-1]
     run_of = edge[kept, :256].cumsum(axis=1, dtype=np.uint8) - 1  # the run of each rank
-    kept_rows = iter(zip(run_start.astype("H"), run_w, run_len, run_of))
+    rank = np.empty((len(kept), 256), dtype=np.uint8)  # rank[i, order[kept[i], k]] = k
+    rank[np.arange(len(kept))[:, None], order[kept]] = np.arange(256, dtype=np.uint8)
+    kept_rows = iter(zip(run_start.astype("H"), run_w, run_len, run_of, rank))
     out = []
-    for row, o, k, r in zip(sw, order.astype("B"), rank.astype("B"), runs.tolist()):
-        o, k = array("B", o.tobytes()), array("B", k.tobytes())
+    for row, o, r in zip(sw, order, runs.tolist()):
         if r > MANY_RUNS:  # a copy, so that the row views none of the sorted table
-            out.append(_one_symbol_per_run(row.copy(), o, k))
+            out.append(_one_symbol_per_run(row.copy(), o.tobytes()))
             continue
-        start, rw, rl, of = next(kept_rows)
-        out.append((o, k, array("H", start[: r + 1].tobytes()), None,
+        start, rw, rl, of, k = next(kept_rows)
+        out.append((array("B", o.tobytes()), array("B", k.tobytes()),
+                    array("H", start[: r + 1].tobytes()), None,
                     tuple(zip(rw[:r].tolist(), rl[:r].tolist())), array("B", of.tobytes())))
     return out
 
 
-def _one_symbol_per_run(row: np.ndarray, order: Sequence[int], rank: Sequence[int]) -> tuple:
+def _one_step_layout(sw: np.ndarray, order: np.ndarray) -> Iterator[tuple]:
+    """The rows of a sorted weight table each laid out for a distribution that serves one step,
+    as a stream's does: one symbol per run, whatever its run count."""
+    orders = order.tobytes()
+    return map(_one_symbol_per_run, sw, (orders[i : i + 256] for i in range(0, len(orders), 256)))
+
+
+def _one_symbol_per_run(row: np.ndarray, order: bytes) -> tuple:
     """(order, rank, run_start, run_w, runs, run_of) of a sorted weight row stored one symbol
-    per run, with no run bookkeeping: so is every row of a distribution that serves one step."""
-    return order, rank, ALL_RANKS, row, None, None
+    per run, with no run bookkeeping and no rank table."""
+    return order, None, ALL_RANKS, row, None, None
 
 
 def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:
     """A PixelDistribution per row of an int64 (n, 256) weight table, sorted in one pass and
-    laid out by `layout` from the sorted weights, order and rank; None for a row that is no
+    laid out by `layout` from the sorted weights and order; None for a row that is no
     distribution, which PixelDistribution(row) raises on."""
-    totals, tops, valid, sw, order, rank = _sort_rows(w)
+    totals, tops, valid, sw, order = _sort_rows(w)
     return [PixelDistribution(row, (total, top, *rows)) if ok else None
-            for row, total, top, ok, rows in zip(w, totals, tops, valid, layout(sw, order, rank))]
+            for row, total, top, ok, rows in zip(w, totals, tops, valid, layout(sw, order))]
 
 
 class FixedModel:
@@ -217,7 +224,7 @@ class StreamModel:
         if self.table.ndim != 2 or self.table.shape[1] != 256:
             raise ValueError("stream table must be (steps, 256)")
         self._first = 0  # step of self._chunk[0]
-        self._chunk: list[PixelDistribution] = []
+        self._chunk: list[PixelDistribution | None] = []
 
     @property
     def steps(self) -> int:
@@ -226,14 +233,37 @@ class StreamModel:
     def distribution(self, prefix, pos) -> PixelDistribution:
         i = pos.index - self._first
         if not 0 <= i < len(self._chunk):
-            if pos.index >= self.steps:
-                raise StreamExhausted(f"stream has {self.steps} steps, step {pos.index} requested")
             self._chunk = []  # the old chunk goes before the next is built
-            w = np.asarray(self.table[pos.index : pos.index + STREAM_CHUNK], dtype=np.int64)
-            self._chunk = _distributions(w, lambda *rows: map(_one_symbol_per_run, *rows))
+            self._chunk = self._build(pos.index, pos.index + STREAM_CHUNK)
             self._first, i = pos.index, 0
         # a step whose weights are no distribution raises only when asked for
         return self._chunk[i] or PixelDistribution(self.table[pos.index])
+
+    def image_distributions(self, image: ImageGrid) -> Iterator[PixelDistribution]:
+        """The distribution of every step of an image, in coding order: one chunk built at a
+        time, then one list item per step. As in `distribution`, a step whose weights are no
+        distribution raises only when it is reached, and so does the first step past the end
+        of a stream shorter than the image."""
+        first = 0
+        while first < image.steps:
+            chunk = self._build(first, min(first + STREAM_CHUNK, image.steps))
+            for step, dist in enumerate(chunk, first):
+                yield dist or PixelDistribution(self.table[step])
+            first += len(chunk)  # past the end of the stream, the next build raises
+
+    def _build(self, first: int, stop: int) -> list[PixelDistribution | None]:
+        """The distributions of steps first up to stop, or to the end of the stream, sorted in
+        one pass; None for a step whose weights are no distribution."""
+        if first >= self.steps:
+            raise StreamExhausted(f"stream has {self.steps} steps, step {first} requested")
+        w = np.asarray(self.table[first:stop], dtype=np.int64)
+        return _distributions(w, _one_step_layout)
+
+
+def check_buckets(buckets: int) -> None:
+    """Refuse a bucket count that a PSCM header, which stores it as u8, cannot hold."""
+    if not 0 <= buckets <= 255:
+        raise ValueError(f"buckets {buckets} outside 0..255")
 
 
 class ContextModel:
@@ -246,10 +276,8 @@ class ContextModel:
     """
 
     def __init__(self, channels: int, buckets: int = 16, smooth: int = 1, counts=None):
-        # the PSCM header stores buckets as u8 and smooth as u32
-        if not 0 <= buckets <= 255:
-            raise ValueError(f"buckets {buckets} outside 0..255")
-        if not 0 <= smooth < 1 << 32:
+        check_buckets(buckets)
+        if not 0 <= smooth < 1 << 32:  # the PSCM header stores smooth as u32
             raise ValueError(f"smooth {smooth} outside 0..2^32-1")
         self.channels = channels
         self.buckets = buckets
@@ -280,7 +308,7 @@ class ContextModel:
         bucketed >>= 8
         rows = np.empty_like(bucketed)
         rows[:, :, 0] = B * (B + 1)  # left edge
-        rows[:, :, 1:] = bucketed[:, :, :-1] * np.uint32(B + 1)
+        np.multiply(bucketed[:, :, :-1], np.uint32(B + 1), out=rows[:, :, 1:])
         rows[:, 0] += np.uint32(B)  # top edge
         rows[:, 1:] += bucketed[:, :-1]
         rows += np.arange(vals.shape[3], dtype=np.uint32) * np.uint32((B + 1) ** 2)

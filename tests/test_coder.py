@@ -29,6 +29,7 @@ from stegosampler.models import (
     ContextModel,
     DegenerateModel,
     FixedModel,
+    STREAM_CHUNK,
     NotADistribution,
     PixelDistribution,
     StreamExhausted,
@@ -343,7 +344,7 @@ def test_quantize_matches_exact_oracle(weights, register):
     prc, low, high = register
     part = quantize(PixelDistribution(weights), CoderState(prc, low=low, high=high))
     order, cut = quantize_oracle(weights, low, high)
-    assert part.order.tolist() == order
+    assert list(part.order) == order
     assert part.cut == cut
     assert all(type(c) is int for c in part.cut)
 
@@ -393,7 +394,7 @@ def test_derived_cut_matches_the_oracle(weights, register):
     dist = PixelDistribution(weights)
     part = quantize(dist, CoderState(prc, low=low, high=high))
     order, cut = quantize_oracle(weights, low, high)
-    assert (part.order.tolist(), part.cut) == (order, cut)
+    assert (list(part.order), part.cut) == (order, cut)
     assert all(type(c) is int for c in part.cut)
     assert part.cut[-1] == part.width == high - low + 1
 
@@ -607,6 +608,64 @@ def test_extract_gives_what_the_per_step_lookup_gives(received, prc):
     model, image = received
     got = extract_outcome(extract_bits, model, image, prc)  # first: the contexts are not sorted
     assert got == extract_outcome(per_step_extract, model, image, prc)
+
+
+@st.composite
+def received_streams(draw):
+    """(stream table, received image, prc): a 1x1 to 12x12 image of one or three channels, and 1 to
+    600 steps, or up to the image's, of weights below 2^bits for bits from a drawn few, each
+    row with a share of zeros; at a few steps a negative weight, a weight of 2^40 or more, or
+    an all-zero row. The image is of random bytes, or embedded at the prc where each row of
+    the stream is a distribution, and with uniform rows elsewhere. At high prc a row's
+    products pass int64."""
+    channels = draw(st.sampled_from([1, 3]))
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(1, 600) | st.integers(1, width * height * channels))
+    bits = rng.choice(draw(st.lists(st.sampled_from([1, 4, 16, 31]), min_size=1)), steps)
+    table = rng.integers(0, 1 << bits[:, None], (steps, 256))
+    table[rng.random((steps, 256)) < rng.random((steps, 1))] = 0
+    table[np.arange(steps), rng.integers(0, 256, steps)] |= 1  # total > 0
+    bad = st.sampled_from([-1, 1 << 40, 0])  # one negative weight, one too large, all zero
+    bad_steps = draw(st.lists(st.tuples(st.integers(0, steps - 1), bad), max_size=3))
+    sender = np.ones((max(steps, width * height * channels), 256), dtype=np.int64)
+    sender[:steps] = table
+    for step, weight in bad_steps:
+        table[step, 0 if weight else slice(None)] = weight
+        sender[step] = 1
+    prc = draw(st.integers(8, 62))
+    if draw(st.booleans()):
+        grid, _ = embed_image(StreamModel(sender), width, height, channels, b"", prc=prc,
+                              framed=False, pad_seed=draw(st.integers(0, 2**64 - 1)),
+                              collect=False)
+        return table, grid, prc
+    alphabet = rng.integers(0, 256, draw(st.sampled_from([1, 2, 256])))
+    data = rng.choice(alphabet, width * height * channels).astype(np.uint8)
+    return table, ImageGrid(width, height, channels, bytearray(data.tobytes())), prc
+
+
+def uniform_stream(steps, bad=None):
+    """A stream of `steps` uniform rows, one of them (step `bad`) with a weight of 2^40, a
+    12x12 RGB image of zeros, 432 steps, that every uniform row decodes, and prc 30."""
+    table = np.ones((steps, 256), dtype=np.int64)
+    if bad is not None:
+        table[bad, 5] = 1 << 40
+    return table, ImageGrid(12, 12, 3, bytearray(432)), 30
+
+
+@settings(max_examples=120, deadline=None)
+@given(received_streams())
+@example(uniform_stream(STREAM_CHUNK - 1)).via("a stream that ends a step before a chunk")
+@example(uniform_stream(STREAM_CHUNK)).via("a stream that ends with its first chunk")
+@example(uniform_stream(STREAM_CHUNK + 1)).via("a stream that ends a step into a chunk")
+@example(uniform_stream(432)).via("a stream as long as the image, over two chunks")
+@example(uniform_stream(600, bad=300)).via("no distribution at step 300, in the second chunk")
+def test_stream_extract_gives_what_the_per_step_lookup_gives(received):
+    """A stream's extract, which builds each chunk's distributions for the image, recovers the
+    bits of the per-step lookup, or raises its error with its message, step included."""
+    table, image, prc = received
+    got = extract_outcome(extract_bits, StreamModel(table), image, prc)
+    assert got == extract_outcome(per_step_extract, StreamModel(table), image, prc)
 
 
 def test_check_raises_without_assert():

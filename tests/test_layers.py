@@ -5,12 +5,12 @@ its per-step figures divide by the embed_step + extract_step span count. A
 refactor that inlines one of them, or moves it off its owner, would zero a
 traced metric or break that division without failing anything else.
 
-A context model's receiver holds the whole image, so extract gathers every
-step's distribution in one `ContextModel.image_distributions` call and calls
-`ContextModel.distribution` at no step; a stream's extract, and every embed,
-still looks up one step at a time. So on desk-analyze and bulk-message,
-stegobench's `models.distribution_us` and `models.cache_hit_ratio` cover the
-embed lookups only: the extract lookup is no call the tracer wraps.
+A receiver holds the whole image, so extract gathers every step's
+distribution in one `image_distributions` call, of a context model or a
+stream, and calls the model's `distribution` at no step; every embed still
+looks up one step at a time. So on all three workloads stegobench's
+`models.distribution_us` and `models.cache_hit_ratio` cover the embed lookups
+only: the extract lookup is no call the tracer wraps.
 """
 import numpy as np
 import pytest
@@ -37,7 +37,9 @@ LOOKUPS = {
     ],
     "stream": [
         (models.StreamModel, "distribution", "embed", 1, 0),
-        (models.StreamModel, "distribution", "extract", 1, 0),
+        (models.StreamModel, "distribution", "extract", 0, 0),
+        (models.StreamModel, "image_distributions", "embed", 0, 0),
+        (models.StreamModel, "image_distributions", "extract", 0, 1),
     ],
 }
 W, H, C = 6, 5, 3

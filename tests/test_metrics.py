@@ -75,7 +75,7 @@ def oracle_stats(dist_, width):
     partition = quantize(dist_, CoderState(62, 0, int(width) - 1))
     q = np.zeros(256)
     ws = np.diff(partition.cut)
-    q[partition.order[: len(ws)]] = ws / partition.width
+    q[list(partition.order[: len(ws)])] = ws / partition.width
     nz, p = q > 0, dist_.weights / dist_.total
     if np.any(p[nz] == 0):
         raise AbsoluteContinuityViolated("quantized mass on a zero-weight symbol")

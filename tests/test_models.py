@@ -317,11 +317,12 @@ class TestStream:
             want = PixelDistribution(table[step])
             assert (got.total, got.top) == (want.total, want.top)
             assert type(got.top) is int and got.top == got.run_w[0]
-            for field in ("weights", "order", "rank"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
+            assert np.array_equal(got.weights, want.weights), step
             order = np.argsort(-table[step], kind="stable")
-            assert np.array_equal(got.order, order)
-            assert np.array_equal(got.rank, np.argsort(order))
+            assert list(got.order) == list(want.order) == order.tolist(), step
+            # one symbol per run: order is bytes, and a value's rank is its index there
+            assert type(got.order) is bytes and got.rank is None, step
+            assert [got.order.index(v) for v in range(256)] == np.argsort(order).tolist(), step
             assert got.run_start is ALL_RANKS, step
             assert np.array_equal(got.run_w, table[step][order]), step
             assert got.runs is None and got.run_of is None, step
@@ -329,9 +330,11 @@ class TestStream:
             runs = runs_of(table[step][order])
             if len(runs) > MANY_RUNS:  # one symbol per run
                 assert want.run_start is ALL_RANKS and want.runs is None, step
+                assert type(want.order) is bytes and want.rank is None, step
                 assert np.array_equal(want.run_w, table[step][order]), step
             else:
                 assert want.run_w is None, step
+                assert list(want.rank) == np.argsort(order).tolist(), step
                 assert list(want.run_start) == [first for first, _, _ in runs] + [256], step
                 assert want.runs == tuple((w, n) for _, w, n in runs), step
                 assert all(type(x) is int for pair in want.runs for x in pair), step
@@ -464,7 +467,7 @@ def codes_by_rank_past_int64(dist, pixel) -> None:
     assert dist.run_of is None and CoderState(62).width * dist.top > INT64_MAX
     part = quantize(dist, CoderState(62))
     assert type(part.ends) is list
-    cut, k = part.cut, int(dist.rank[pixel])
+    cut, k = part.cut, dist.order.index(pixel)
     with mock.patch.object(coder, "_run_cell", side_effect=AssertionError("run branch")):
         if k + 1 >= len(cut):
             with pytest.raises(coder.UndecodablePixel):
@@ -488,15 +491,18 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
     codes by rank where its products pass int64."""
     weights, dist = bundle
     order = np.argsort(-weights, kind="stable")
-    assert np.array_equal(dist.order, order) and np.array_equal(dist.rank, np.argsort(order))
-    assert [dist.order[dist.rank[v]] for v in range(256)] == list(range(256))
-    lookups = [dist.order, dist.rank]
-    if dist.run_of is None:
+    assert list(dist.order) == order.tolist()
+    lookups = [dist.order]
+    if dist.run_of is None:  # order is bytes, and a value's rank is its index there
+        assert type(dist.order) is bytes and dist.rank is None
+        assert [dist.order.index(v) for v in range(256)] == np.argsort(order).tolist()
         assert dist.run_start is ALL_RANKS and dist.runs is None
         assert dist.run_w.base is None  # views none of the sorted table
         assert len(runs_of(weights[order])) > MANY_RUNS
     else:
-        lookups += [dist.run_start, dist.run_of, *dist.runs]
+        assert list(dist.rank) == np.argsort(order).tolist()
+        assert [dist.order[dist.rank[v]] for v in range(256)] == list(range(256))
+        lookups += [dist.rank, dist.run_start, dist.run_of, *dist.runs]
         assert dist.run_w is None
         assert list(dist.run_start) == [first for first, _, _ in runs_of(weights[order])] + [256]
         assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
@@ -522,6 +528,20 @@ def test_sorted_contexts_stay_compact():
     assert len(distinct) == 75
     assert all(d.run_w is None and type(d.runs) is tuple for d in distinct)
     assert held < 5 * 1024 * len(distinct), f"{held} B held for {len(distinct)} distributions"
+
+
+def test_context_rows_holds_two_image_sized_arrays():
+    """context_rows holds the image's bucketed values and the rows it returns, and no third
+    uint32 array of the image's size: the left neighbour's product goes into the rows."""
+    vals = np.random.default_rng(0).integers(0, 256, (1, 128, 128, 3), dtype=np.uint8)
+    model = ContextModel(3, 16)
+    tracemalloc.start()
+    try:
+        rows = model.context_rows(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows.nbytes, f"a peak of {peak} B for {rows.nbytes} B of rows"
 
 
 @st.composite

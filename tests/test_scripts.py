@@ -45,14 +45,16 @@ def test_make_corpus_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, me
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("arg, value, message", [
-    ("--count", "0", "count must be at least 1, got 0"),
-    ("--width", "0", "image dimensions must be positive"),
-], ids=["count", "width"])
-def test_run_desk_eval_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, message):
-    out, err = run_script("run_desk_eval.py", "--corpus-size", "20", arg, value, cwd=tmp_path,
-                          code=2)
-    assert out == [] and err.splitlines() == [f"error: {message}"]  # nothing trained
+# a bad prc or bucket count is refused before the corpus is drawn, which refuses width 0
+@pytest.mark.parametrize("args, message", [
+    (["--count", "0"], "count must be at least 1, got 0"),
+    (["--width", "0"], "image dimensions must be positive"),
+    (["--prc", "7", "--width", "0"], "prc 7 outside [8, 62]"),
+    (["--buckets", "256", "--width", "0"], "buckets 256 outside 0..255"),
+], ids=["count", "width", "prc", "buckets"])
+def test_run_desk_eval_refuses_a_bad_argument_in_one_line(tmp_path, args, message):
+    out, err = run_script("run_desk_eval.py", "--corpus-size", "20", *args, cwd=tmp_path, code=2)
+    assert out == [] and err.splitlines() == [f"error: {message}"]  # no `trained on` line
     assert os.listdir(tmp_path) == []
 
 
