@@ -7,9 +7,11 @@ prints mean +/- std for ER and for the distortion between the effective
 sampling distribution q and the model distribution p.
 
 A bad argument or an unwritable output ends in one `error:` line and exit code 2, as in the
-stegosampler CLI.
+stegosampler CLI, and the three outputs are written all or none, as `stegosampler analyze`
+writes them.
 """
 import argparse
+import io
 import sys
 import time
 
@@ -93,10 +95,14 @@ def evaluate(args) -> None:
     print(f"  ER   {er[0]:.4f} +/- {er[1]:.4f} bits/step")
     print(f"  KLD  {kld[0]:.4e} +/- {kld[1]:.4e} bit")
 
-    metrics.write_csv(reports, [f"img_{i:04d}" for i in range(args.count)], args.out_csv)
+    csv_sink = io.BytesIO()
+    metrics.write_csv(reports, [f"img_{i:04d}" for i in range(args.count)], csv_sink)
     ent_map, bits_map = metrics.heatmaps(reports)
-    pnm.write_image(ent_map, args.out_entropy_map)
-    pnm.write_image(bits_map, args.out_bits_map)
+    cli._write_all([
+        (args.out_csv, csv_sink.getvalue()),
+        (args.out_entropy_map, pnm.write_image(ent_map)),
+        (args.out_bits_map, pnm.write_image(bits_map)),
+    ])
     h_q = metrics.position_means(reports, "h_q")
     bits = metrics.position_means(reports, "bits_confirmed")
     print(f"entropy/bits position correlation: {np.corrcoef(h_q, bits)[0, 1]:.3f}")

@@ -83,9 +83,9 @@ class QuantizedPartition(NamedTuple):
 
     order: Sequence[int]  # permutation of 0..255, weight-descending, ties by value
     run_start: Sequence[int]  # first rank of each run, then 256
-    # end of each run before the deficit; ends[-1] + deficit = width. Python ints, or an
-    # int64 array when each symbol is a run of its own and the int64 pass tiled it
-    ends: list[int] | np.ndarray
+    # end of each run before the deficit; ends[-1] + deficit = width. Every item is a Python
+    # int: a list, or a memoryview of the int64 pass's cumsum
+    ends: Sequence[int]
     width: int
 
     @property
@@ -110,14 +110,14 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     kept as its runs of equal weight is tiled in exact Python ints, and so is
     one whose products could pass int64 (width times the top weight above
     INT64_MAX: high prc, top weights near 2^40). Any other, stored one symbol
-    per run, is tiled in one int64 numpy pass, whose ends stay an int64 array.
-    Both give the same ends.
+    per run, is tiled in one int64 numpy pass, whose ends are a memoryview of
+    its cumsum. Both give the same ends, and each indexes to Python ints.
     """
     width = state.width
     runs = dist.runs
     if runs is None:
         if width * dist.top <= INT64_MAX:
-            ends = (width * dist.run_w // dist.total).cumsum()
+            ends = (width * dist.run_w // dist.total).cumsum().data
             return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))
         runs = zip(dist.run_w.tolist(), repeat(1))
     total, end, ends = dist.total, 0, []
@@ -141,34 +141,23 @@ def _apply(state: CoderState, offset: int, width: int) -> tuple[int, int]:
     return s, prefix
 
 
-def _run_cell(run_start, ends: list[int], deficit: int, r: int) -> tuple[int, int, int]:
-    """(start, units per symbol, first rank) of run r, as Python ints: run 0 starts at 0, run
-    r > 0 at ends[r - 1] + deficit."""
+def _run_cell(run_start, ends, deficit: int, r: int) -> tuple[int, int, int]:
+    """(start, units per symbol, first rank) of run r: run 0 starts at 0, run r > 0 at
+    ends[r - 1] + deficit."""
     start = ends[r - 1] + deficit if r else 0
     first = run_start[r]
     return start, (ends[r] + deficit - start) // (run_start[r + 1] - first), first
-
-
-def _symbol_cell(ends, deficit: int, k: int) -> tuple[int, int]:
-    """(start, width) of rank k, as Python ints, where each symbol is a run of its own: `ends`
-    is an int64 array, or a list where the products passed int64."""
-    start = int(ends[k - 1]) + deficit if k else 0
-    return start, int(ends[k]) + deficit - start
 
 
 def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
     """Decode one pixel out of the message window; confirm the shared prefix."""
     _, _, ends, width = quantize(dist, state)
     x = msg.window(msg.confirmed_ptr, state.prc) - state.low
-    deficit = width - int(ends[-1])
+    deficit = width - ends[-1]
     r = bisect_right(ends, x - deficit)  # the run that holds the window
-    if dist.run_of is None:  # one symbol per run: the run is the rank
-        start, q_width = _symbol_cell(ends, deficit, r)
-        value = dist.order[r]
-    else:  # the symbol within the run, all in Python ints
-        start, q_width, first = _run_cell(dist.run_start, ends, deficit, r)
-        i = (x - start) // q_width
-        value, start = dist.order[first + i], start + i * q_width
+    start, q_width, first = _run_cell(dist.run_start, ends, deficit, r)
+    i = (x - start) // q_width  # the symbol within the run
+    value, start = dist.order[first + i], start + i * q_width
     s, _ = _apply(state, start, q_width)
     msg.confirmed_ptr += s
     return tuple.__new__(StepRecord, (value, s, q_width, width, *NO_STATS))
@@ -177,16 +166,11 @@ def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> St
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
     _, _, ends, width = quantize(dist, state)
-    deficit = width - int(ends[-1])
-    if dist.run_of is None:  # one symbol per run: the run is the rank
-        start, q_width = _symbol_cell(ends, deficit, dist.order.index(pixel))
-    else:
-        k = dist.rank[pixel]
-        start, q_width, first = _run_cell(dist.run_start, ends, deficit, dist.run_of[k])
-        start += (k - first) * q_width
+    k = dist.order.index(pixel) if dist.rank is None else dist.rank[pixel]
+    start, q_width, first = _run_cell(dist.run_start, ends, width - ends[-1], dist.run_of[k])
     if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")
-    s, prefix = _apply(state, start, q_width)
+    s, prefix = _apply(state, start + (k - first) * q_width, q_width)
     return prefix, s
 
 

@@ -25,8 +25,9 @@ STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
 # bookkeeping then costs its embed step no less than it saves. A stream's row serves one step,
 # too few to win back the pass over its chunk that finds the runs, so it is always stored so.
 MANY_RUNS = 64
-ALL_RANKS = np.arange(257)  # run_start of every distribution stored one symbol per run
-ALL_RANKS.flags.writeable = False
+# run_start and run_of of every distribution stored one symbol per run, 256 runs of one: a
+# read-only view that indexes to Python ints and that numpy reads without a copy
+ALL_RANKS = np.arange(257).data.toreadonly()
 
 
 class EmptyCorpus(ValueError):
@@ -71,14 +72,14 @@ class PixelDistribution:
       as a pair of Python ints, and run_w is None;
     - more, or any number for a distribution that serves one step, as a
       stream's does: one run per symbol, so run_w is the sorted weights,
-      run_start is the shared ALL_RANKS, and runs and run_of are None.
+      run_start and run_of are both the shared ALL_RANKS, and runs is None.
 
-    The lookups a coding step makes give Python ints. In the run layout, order,
-    rank (its inverse, order[rank[v]] == v), run_start and run_of, the run of
-    each rank, are `array.array` rows. One symbol per run, order is `bytes`, and
-    rank is None: embed reads order[k], and extract finds a value's rank with
-    order.index(v), one scan of at most 256 bytes, so no step builds a table
-    that a row read once would use for one entry.
+    Either way a coding step reads the same fields, and each lookup gives a
+    Python int. In the run layout, order, rank (its inverse, order[rank[v]] ==
+    v), run_start and run_of, the run of each rank, are `array.array` rows. One
+    symbol per run, order is `bytes`, and rank is None: extract finds a value's
+    rank with order.index(v), one scan of at most 256 bytes, so no step builds a
+    table that a row read once would use for one entry.
     """
 
     __slots__ = ("weights", "total", "top", "order", "rank", "run_start", "run_w", "runs", "run_of")
@@ -172,8 +173,8 @@ def _one_step_layout(sw: np.ndarray, order: np.ndarray) -> Iterator[tuple]:
 
 def _one_symbol_per_run(row: np.ndarray, order: bytes) -> tuple:
     """(order, rank, run_start, run_w, runs, run_of) of a sorted weight row stored one symbol
-    per run, with no run bookkeeping and no rank table."""
-    return order, None, ALL_RANKS, row, None, None
+    per run, 256 runs of one, with no rank table."""
+    return order, None, ALL_RANKS, row, None, ALL_RANKS
 
 
 def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:

@@ -389,13 +389,15 @@ def clone(state):
 # many runs past the guard
 @example([(1 << 32) - 1 - v for v in range(256)], (62, 3, (1 << 62) - 1)).via("past the guard")
 def test_derived_cut_matches_the_oracle(weights, register):
-    """`cut`, derived from the run ends, is the per-symbol oracle's tiling."""
+    """`cut`, derived from the run ends, is the per-symbol oracle's tiling, and the ends a
+    step reads are Python ints on every tiling path."""
     prc, low, high = register
     dist = PixelDistribution(weights)
     part = quantize(dist, CoderState(prc, low=low, high=high))
     order, cut = quantize_oracle(weights, low, high)
     assert (list(part.order), part.cut) == (order, cut)
     assert all(type(c) is int for c in part.cut)
+    assert all(type(e) is int for e in part.ends)
     assert part.cut[-1] == part.width == high - low + 1
 
 

@@ -2,7 +2,6 @@ import io
 import re
 import tracemalloc
 from bisect import bisect_right
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,7 +324,7 @@ class TestStream:
             assert [got.order.index(v) for v in range(256)] == np.argsort(order).tolist(), step
             assert got.run_start is ALL_RANKS, step
             assert np.array_equal(got.run_w, table[step][order]), step
-            assert got.runs is None and got.run_of is None, step
+            assert got.runs is None and got.run_of is ALL_RANKS, step
             # the standalone distribution serves many steps, so it keeps its runs
             runs = runs_of(table[step][order])
             if len(runs) > MANY_RUNS:  # one symbol per run
@@ -464,23 +463,22 @@ def codes_by_rank_past_int64(dist, pixel) -> None:
     """At prc 62 the products of a row stored one symbol per run pass int64, so `quantize`
     tiles it in Python ints; its steps still take the rank as the run, and the pixel codes to
     its cell of the per-symbol cut."""
-    assert dist.run_of is None and CoderState(62).width * dist.top > INT64_MAX
+    assert dist.rank is None and CoderState(62).width * dist.top > INT64_MAX
     part = quantize(dist, CoderState(62))
     assert type(part.ends) is list
     cut, k = part.cut, dist.order.index(pixel)
-    with mock.patch.object(coder, "_run_cell", side_effect=AssertionError("run branch")):
-        if k + 1 >= len(cut):
-            with pytest.raises(coder.UndecodablePixel):
-                extract_step(CoderState(62), dist, pixel)
-            return
-        want = CoderState(62)
-        s, prefix = _apply(want, cut[k], cut[k + 1] - cut[k])
-        got = CoderState(62)
-        assert extract_step(got, dist, pixel) == (prefix, s)
-        assert (got.low, got.high) == (want.low, want.high)
-        window = BitStream(BitString((cut[k] << 2).to_bytes(8, "big"), 62), 0)
-        rec = embed_step(CoderState(62), dist, window)
-        assert (rec.pixel_value, rec.bits_confirmed, rec.q_width) == (pixel, s, cut[k + 1] - cut[k])
+    if k + 1 >= len(cut):
+        with pytest.raises(coder.UndecodablePixel):
+            extract_step(CoderState(62), dist, pixel)
+        return
+    want = CoderState(62)
+    s, prefix = _apply(want, cut[k], cut[k + 1] - cut[k])
+    got = CoderState(62)
+    assert extract_step(got, dist, pixel) == (prefix, s)
+    assert (got.low, got.high) == (want.low, want.high)
+    window = BitStream(BitString((cut[k] << 2).to_bytes(8, "big"), 62), 0)
+    rec = embed_step(CoderState(62), dist, window)
+    assert (rec.pixel_value, rec.bits_confirmed, rec.q_width) == (pixel, s, cut[k + 1] - cut[k])
 
 
 @settings(max_examples=120, deadline=None)
@@ -493,10 +491,10 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
     order = np.argsort(-weights, kind="stable")
     assert list(dist.order) == order.tolist()
     lookups = [dist.order]
-    if dist.run_of is None:  # order is bytes, and a value's rank is its index there
-        assert type(dist.order) is bytes and dist.rank is None
+    if dist.rank is None:  # order is bytes, and a value's rank is its index there
+        assert type(dist.order) is bytes
         assert [dist.order.index(v) for v in range(256)] == np.argsort(order).tolist()
-        assert dist.run_start is ALL_RANKS and dist.runs is None
+        assert dist.run_start is dist.run_of is ALL_RANKS and dist.runs is None
         assert dist.run_w.base is None  # views none of the sorted table
         assert len(runs_of(weights[order])) > MANY_RUNS
     else:
@@ -508,9 +506,21 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
         assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
     assert all(type(x) is int for table in lookups for x in table)
     if dist.top > 1:  # a top weight of 1 keeps every product at prc 62 within int64
-        if dist.run_of is None:
+        if dist.rank is None:
             codes_by_rank_past_int64(dist, pixel)
         codes_by_rank_past_int64(StreamModel(weights[None]).distribution(None, POS0), pixel)
+
+
+def test_all_ranks_is_a_read_only_identity_that_numpy_reads_in_place():
+    """ALL_RANKS, the run_start and run_of of every row stored one symbol per run, holds 0..256
+    as Python ints, refuses a write, and numpy reads it without a copy, as `cut` does."""
+    assert list(ALL_RANKS) == list(range(257))
+    assert all(type(k) is int for k in ALL_RANKS)
+    with pytest.raises(TypeError):
+        ALL_RANKS[0] = 1
+    with pytest.raises(ValueError):
+        np.asarray(ALL_RANKS)[0] = 1
+    assert np.shares_memory(np.asarray(ALL_RANKS), np.asarray(ALL_RANKS))
 
 
 def test_sorted_contexts_stay_compact():

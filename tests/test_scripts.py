@@ -58,6 +58,18 @@ def test_run_desk_eval_refuses_a_bad_argument_in_one_line(tmp_path, args, messag
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["--out-bits-map", os.path.join("missing", "bits.pgm")],
+    ["--out-csv", "x", "--out-entropy-map", "x"],
+], ids=["unwritable", "one-path"])
+def test_run_desk_eval_writes_its_outputs_all_or_none(tmp_path, args):
+    """An output that cannot be written, or two outputs on one path, leaves no output behind."""
+    _, err = run_script("run_desk_eval.py", "--count", "2", "--corpus-size", "20", *args,
+                        cwd=tmp_path, code=2)
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_desk_eval_prints_and_writes_its_summary(tmp_path):
     out, _ = run_script("run_desk_eval.py", "--count", "3", "--corpus-size", "20", cwd=tmp_path)
     assert out[0].startswith("trained on 20 stroke images in ")
