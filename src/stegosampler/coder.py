@@ -10,22 +10,16 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
-from .metrics import STATS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
+from .metrics import STATS, STATS_CELLS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
 from .models import INT64_MAX, NotADistribution, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
-# With stats collected, embed_image holds each step's distribution until one step_stats call
-# fills in their stats: once it holds STATS_CHUNK distinct distributions, counted every
-# STATS_CHUNK steps, or STATS_HELD steps, and at the last step. A held stream distribution
-# keeps its chunk of the stream alive, and a call's per-step arrays grow with its steps.
-STATS_CHUNK = 256
-STATS_HELD = 16 * STATS_CHUNK
 PRC_MIN, PRC_MAX = 8, 62
 NO_STATS = tuple(StepRecord._field_defaults.values())  # a step's stats before they are filled in
 
@@ -199,12 +193,26 @@ def _check_channels(model, channels: int) -> None:
         raise ChannelMismatch(f"model has {trained} channel(s), image has {channels}")
 
 
-def _fill(steps: np.ndarray, held: list[PixelDistribution]) -> None:
-    """Fill in the stats of the held steps, the last len(held) of `steps`, and let them go."""
-    rows = steps[len(steps) - len(held) :]
-    for name, col in zip(STATS, step_stats(held, rows["width_before"]).T):
-        rows[name] = col
-    held.clear()
+def _gather(model, image: ImageGrid) -> Iterator[PixelDistribution]:
+    """The distribution of every step of a finished image, in coding order: the model's own
+    gather where it has one, else one lookup per step."""
+    if hasattr(model, "image_distributions"):
+        return model.image_distributions(image)
+    shape = image.width, image.height, image.channels
+    return map(model.distribution, repeat(image), sequence_positions(*shape))
+
+
+def _fill_stats(steps: np.ndarray, dists: Iterator[PixelDistribution]) -> None:
+    """Fill in the stats of every step from its distribution, a slice at a time: as many
+    steps as STATS_CELLS allows for the runs of the slice's first row, so one step_stats
+    call takes a whole desk image and 256 steps of a stream."""
+    first = 0
+    for dist in dists:
+        held = [dist, *islice(dists, STATS_CELLS // len(dist.runs or dist.run_w) - 1)]
+        rows = steps[first : first + len(held)]
+        for name, col in zip(STATS, step_stats(held, rows["width_before"]).T):
+            rows[name] = col
+        first += len(held)
 
 
 def embed_image(
@@ -224,29 +232,20 @@ def embed_image(
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
     steps = np.empty(grid.steps, STEP_DTYPE)
-    held, ids = [], set()  # the distributions of the steps without stats, and their ids
     try:
         for pos in sequence_positions(width, height, channels):
-            dist = model.distribution(grid, pos)
-            steps[pos.index] = rec = embed_step(state, dist, msg)
+            steps[pos.index] = rec = embed_step(state, model.distribution(grid, pos), msg)
             grid.data[pos.index] = rec.pixel_value
-            if collect:
-                held.append(dist)
-                if not len(held) % STATS_CHUNK:
-                    ids.update(map(id, held[-STATS_CHUNK:]))
-                    if len(ids) >= STATS_CHUNK or len(held) == STATS_HELD:
-                        _fill(steps[: pos.index + 1], held)
-                        ids.clear()
     except (StreamExhausted, NotADistribution) as e:
         raise _located(e, pos, prc) from None
-    if collect:
-        _fill(steps, held)
     state.check()
     if framed and msg.confirmed_ptr < bits.length:
         raise CapacityExceeded(
             f"image confirmed {msg.confirmed_ptr} of {bits.length} framed bits "
             f"at prc {prc}, final interval [{state.low}, {state.high}]"
         )
+    if collect:
+        _fill_stats(steps, _gather(model, grid))
     return grid, EmbedReport(width, height, channels, prc, steps)
 
 
@@ -254,18 +253,14 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
     _check_run(model, image.channels, prc)
     state = CoderState(prc)
     out = BitString()
-    shape = image.width, image.height, image.channels
-    if hasattr(model, "image_distributions"):  # the whole image is known: gather, then code
-        dists = model.image_distributions(image)
-    else:
-        dists = map(model.distribution, repeat(image), sequence_positions(*shape))
     step = 0  # the step reached, whose position a failure rebuilds
     try:
-        for dist, pixel in zip(dists, image.data):
+        for dist, pixel in zip(_gather(model, image), image.data):
             prefix, s = extract_step(state, dist, pixel)
             out.append(prefix, s)
             step += 1
     except (UndecodablePixel, StreamExhausted, NotADistribution) as e:
+        shape = image.width, image.height, image.channels
         raise _located(e, next(islice(sequence_positions(*shape), step, None)), prc) from None
     state.check()
     return out

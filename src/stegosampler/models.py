@@ -245,6 +245,7 @@ class StreamModel:
         time, then one list item per step. As in `distribution`, a step whose weights are no
         distribution raises only when it is reached, and so does the first step past the end
         of a stream shorter than the image."""
+        self._chunk = []  # the lookups' chunk goes: a gather builds its own
         first = 0
         while first < image.steps:
             chunk = self._build(first, min(first + STREAM_CHUNK, image.steps))
@@ -400,7 +401,8 @@ def save_model(model: ContextModel, sink) -> bytes:
     header = MODEL_MAGIC + struct.pack(
         MODEL_HEADER, 1, model.channels, model.buckets, model.smooth
     )
-    return write_bytes(header + model.counts.astype("<u8").tobytes(), sink)
+    counts = np.ascontiguousarray(model.counts, dtype="<u8")  # a copy only to convert
+    return write_bytes(b"".join((header, memoryview(counts))), sink)  # one copy of the table
 
 
 def load_model(source) -> ContextModel:
@@ -423,9 +425,9 @@ def save_stream(weights_per_step: np.ndarray, sink) -> bytes:
     fits = kind in "bu" and table.dtype.itemsize <= 4  # no value of the dtype needs the check
     if not fits and ((table < 0) | (table >= 1 << 32)).any():
         raise ValueError("stream weights must lie in [0, 2^32)")
-    table = table.astype("<u4", copy=False)
-    blob = STREAM_MAGIC + struct.pack(STREAM_HEADER, 1, table.shape[0]) + table.tobytes()
-    return write_bytes(blob, sink)
+    table = np.ascontiguousarray(table, dtype="<u4")
+    header = STREAM_MAGIC + struct.pack(STREAM_HEADER, 1, table.shape[0])
+    return write_bytes(b"".join((header, memoryview(table))), sink)
 
 
 def load_stream(source) -> StreamModel:

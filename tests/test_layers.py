@@ -8,10 +8,14 @@ traced metric or break that division without failing anything else.
 A receiver holds the whole image, so extract gathers every step's
 distribution in one `image_distributions` call, of a context model or a
 stream, and calls the model's `distribution` at no step; every embed still
-looks up one step at a time. So on all three workloads stegobench's
-`models.distribution_us` and `models.cache_hit_ratio` cover the embed lookups
-only: the extract lookup is no call the tracer wraps.
+looks up one step at a time, and with stats gathers the finished image's
+distributions once more, in one `image_distributions` call. So on all three
+workloads stegobench's `models.distribution_us` and `models.cache_hit_ratio`
+cover the embed's coding lookups only: a gather is no call the tracer wraps.
 """
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,13 +36,13 @@ LOOKUPS = {
     "context": [
         (models.ContextModel, "distribution", "embed", 1, 0),
         (models.ContextModel, "distribution", "extract", 0, 0),
-        (models.ContextModel, "image_distributions", "embed", 0, 0),
+        (models.ContextModel, "image_distributions", "embed", 0, 1),
         (models.ContextModel, "image_distributions", "extract", 0, 1),
     ],
     "stream": [
         (models.StreamModel, "distribution", "embed", 1, 0),
         (models.StreamModel, "distribution", "extract", 0, 0),
-        (models.StreamModel, "image_distributions", "embed", 0, 0),
+        (models.StreamModel, "image_distributions", "embed", 0, 1),
         (models.StreamModel, "image_distributions", "extract", 0, 1),
     ],
 }
@@ -88,3 +92,14 @@ def test_traced_names_are_called_once_per_step(kind, monkeypatch):
             assert got > 0, label
         else:
             assert got == calls, label
+
+
+def test_every_traced_name_is_defined_on_its_owner():
+    """The tracer patches `vars(owner)[name]` for each of its targets, so a name that moved off
+    its owner would end a traced benchmark run with a KeyError."""
+    path = Path(__file__).resolve().parents[1] / "stegobench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("stegobench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{o.__name__}.{name}" for o, name, _ in tracing.TARGETS if name not in vars(o)]
+    assert len(tracing.TARGETS) > 0 and missing == []

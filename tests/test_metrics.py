@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from stegosampler import coder, metrics, models
 from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
-    STATS_CHUNK,
-    STATS_HELD,
+    CapacityExceeded,
     CoderState,
     StepRecord,
     embed_image,
@@ -222,36 +222,36 @@ def test_a_steps_stats_do_not_depend_on_its_chunk(chunk, seed):
 
 
 class PlannedModel:
-    """One kind of row for each STATS_CHUNK steps: a shared 3-run row, a shared 256-run row, or
-    a distribution of a few runs made afresh at every step, as a stream's are."""
+    """One kind of row for each 256 steps: a shared 3-run row, a shared 256-run row, or a
+    distribution of a few runs made afresh at every step, as a stream's are. A fresh row is
+    drawn from its step's index, so a second lookup of a step gives the same weights."""
 
     NARROW = PixelDistribution(np.arange(256) % 3 + 1)
     WIDE = PixelDistribution(np.arange(256) * 7 + 1)
 
     def __init__(self, plan, seed):
-        self.plan, self.rng, self.seen = plan, np.random.default_rng(seed), []
+        self.plan, self.seed = plan, seed
 
     def distribution(self, prefix, pos):
-        kind = self.plan[pos.index // STATS_CHUNK]
-        d = (self.NARROW, self.WIDE)[kind] if kind < 2 else PixelDistribution(
-            self.rng.choice([1, 5, 90, 1000], 256))
-        self.seen.append(d)
-        return d
+        kind = self.plan[pos.index // 256]
+        if kind < 2:
+            return (self.NARROW, self.WIDE)[kind]
+        rng = np.random.default_rng([self.seed, pos.index])
+        return PixelDistribution(rng.choice([1, 5, 90, 1000], 256))
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=17, max_size=17), st.integers(0, 2**32 - 1))
-@example([0, 1] * 8 + [2], 0)  # fills at STATS_HELD, of 256-run rows among others
+@example([0, 1] * 8 + [2], 0)  # a slice begun on a 3-run row holds 256-run rows too
 def test_stats_chunks_stay_within_their_cells(plan, seed):
     """Whatever rows come next, no step_stats table passes STATS_CELLS, its steps times its
-    widest row; embed_image holds fewer than 2 * STATS_CHUNK distinct distributions and at most
-    STATS_HELD steps. Neither moves a stat."""
-    calls, depth = [], [0]  # (depth, steps, widest row, distinct) of each call, in call order
+    widest row, and the stats are those of one call over every step's lookup."""
+    calls, depth = [], [0]  # (depth, steps, widest row) of each call, in call order
     real = metrics.step_stats
 
     def traced(dists, widths):
         runs = max((len(d.runs or d.run_w) for d in dists), default=0)
-        calls.append((depth[0], len(dists), runs, len(set(map(id, dists)))))
+        calls.append((depth[0], len(dists), runs))
         depth[0] += 1
         try:
             return real(dists, widths)
@@ -265,10 +265,10 @@ def test_stats_chunks_stay_within_their_cells(plan, seed):
         _, rep = embed_image(model, 70, 60, 1, b"", framed=False, pad_seed=seed, collect=True)
     fills = [c for c in calls if c[0] == 0]
     tables = [c for c, after in zip(calls, calls[1:] + [(0,)]) if after[0] <= c[0]]
-    assert sum(n for _, n, _, _ in fills) == 70 * 60
-    assert all(n <= STATS_HELD and distinct < 2 * STATS_CHUNK for _, n, _, distinct in fills)
-    assert all(n * runs <= STATS_CELLS for _, n, runs, _ in tables)
-    want = step_stats(model.seen, rep.steps.width_before)
+    assert sum(n for _, n, _ in fills) == 70 * 60
+    assert all(n * runs <= STATS_CELLS for _, n, runs in tables)
+    dists = [model.distribution(None, pos) for pos in sequence_positions(70, 60, 1)]
+    want = step_stats(dists, rep.steps.width_before)
     assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
 
 
@@ -342,7 +342,7 @@ class TestHeatmaps:
 
 
 MODEL = FixedModel(np.arange(1, 257) % 7 + 1)
-W, H = 17, 16  # 272 steps: one STATS_CHUNK and 16 more
+W, H = 17, 16  # 272 steps: one 256-step slice and 16 more
 
 
 def embed(collect, prc=26, model=MODEL):
@@ -382,14 +382,14 @@ class TestSteps:
             np.testing.assert_allclose([row[name] for name in STATS], want, rtol=0, atol=1e-12)
 
     def test_stats_come_in_chunks(self, monkeypatch):
-        """One step_stats call takes all 272 steps of one shared row, narrow or of 256 runs; a
-        stream's distinct rows go 256 a call, each filled in before the model is asked for the
-        next step, so no more are held."""
-        calls, asked = [], []  # (steps, last step asked for); steps asked
+        """Stats come after the last coding step, a slice of lookups at a time: one step_stats
+        call takes all 272 steps of a shared 3-run row, and a row of 256 runs or a stream's
+        distinct rows go 256 a call, each slice looked up just before its call."""
+        calls, asked = [], []  # (steps, lookups made so far); steps asked
         real = coder.step_stats
 
         def counted(dists, widths):
-            calls.append((len(dists), asked[-1]))
+            calls.append((len(dists), len(asked)))
             return real(dists, widths)
 
         def asking(model):
@@ -399,23 +399,46 @@ class TestSteps:
 
         monkeypatch.setattr(coder, "step_stats", counted)
         rng = np.random.default_rng(4)
+        n = W * H
         narrow = FixedModel(MODEL.distribution(None, None).weights)
         wide = FixedModel(rng.permutation(256) + 1)  # 256 runs, one symbol each
-        for model in (narrow, wide):
+        for model, want in ((narrow, [(n, 2 * n)]), (wide, [(256, n + 256), (n - 256, 2 * n)])):
             calls.clear()
+            asked.clear()
             embed(collect=True, model=asking(model))
-            assert calls == [(W * H, W * H - 1)]
+            assert calls == want
+            assert asked == [*range(n), *range(n)]  # coding, then the stats pass
         calls.clear()
-        stream = StreamModel([rng.permutation(256) + 1 for _ in range(W * H)])
+        asked.clear()
+        stream = StreamModel([rng.permutation(256) + 1 for _ in range(n)])
         embed(collect=True, model=asking(stream))
-        assert calls == [(256, 255), (W * H - 256, W * H - 1)]
+        assert calls == [(256, n), (n - 256, n)]  # the stats pass gathers the image at once
         calls.clear()
         embed(collect=False)
         assert calls == []
 
+    def test_capacity_failure_computes_no_stats(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coder, "step_stats", lambda *args: calls.append(args))
+        with pytest.raises(CapacityExceeded):
+            embed_image(MODEL, 4, 4, 1, bytes(100), pad_seed=1, collect=True)
+        assert calls == []
+
+    def test_stats_are_one_step_stats_call_over_the_lookups(self, monkeypatch):
+        """A fixed model's stats are bit for bit one step_stats call over its per-step lookups,
+        and embed makes just that call."""
+        calls = []
+        real = coder.step_stats
+        monkeypatch.setattr(coder, "step_stats", lambda *a: calls.append(a) or real(*a))
+        _, rep = embed(collect=True)
+        dists = [MODEL.distribution(None, pos) for pos in sequence_positions(W, H, 1)]
+        want = real(dists, rep.steps.width_before)
+        assert len(calls) == 1
+        assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("w, h, c", [(16, 16, 1), (32, 32, 3)])
     def test_streams_of_whole_chunks_fill_every_stat(self, w, h, c):
-        """A stream of a multiple of STATS_CHUNK steps holds nothing after its last chunk."""
+        """A stream of whole 256-step chunks fills every stat, its last slice too."""
         table = np.random.default_rng(w).integers(1, 1 << 12, (w * h * c, 256))
         model, seen = StreamModel(table), []
         ask = model.distribution
@@ -424,6 +447,22 @@ class TestSteps:
         got = np.column_stack([rep.steps[name] for name in STATS])
         assert not np.isnan(got).any()
         assert got.tobytes() == step_stats(seen, rep.steps.width_before).tobytes()
+
+    def test_stats_of_a_stream_hold_no_more_as_the_image_grows(self):
+        """The stats pass holds one slice of a stream at a time: from 32x32 to 64x64 RGB, its
+        peak grows as much as a plain embed's does, and no more than a few KiB besides."""
+
+        def peak(s, collect):
+            model = StreamModel(np.random.default_rng(5).integers(1, 1 << 20, (3 * s * s, 256)))
+            tracemalloc.start()
+            try:
+                embed_image(model, s, s, 3, b"", framed=False, pad_seed=1, collect=collect)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain, stats = (peak(64, collect) - peak(32, collect) for collect in (False, True))
+        assert stats <= plain + (64 << 10), f"stats grew {stats} B, a plain embed {plain} B"
 
     def test_uncollected_stats_are_nan(self):
         _, rep = embed(collect=False)

@@ -225,6 +225,25 @@ def test_loading_holds_one_copy_of_the_file(kind, tmp_path):
         assert peak < most, f"peak {peak} B loading a {size} B file from {type(source).__name__}"
 
 
+@pytest.mark.parametrize("kind", ["stream", "model"])
+def test_saving_holds_one_copy_of_the_table(kind):
+    """A save joins its header and a view of the table in one step: it peaks at the table's
+    size and a little more, not at twice it."""
+    if kind == "stream":
+        table = np.ones((1 << 14, 256), dtype="<u4")  # 16 MiB
+        save, arg = save_stream, table
+    else:
+        arg = ContextModel(1, 90)  # 91^2 contexts of 256 u64: 16.2 MiB
+        save, table = save_model, arg.counts
+    tracemalloc.start()
+    try:
+        save(arg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + (64 << 10), f"peak {peak} B saving a {table.nbytes} B table"
+
+
 def runs_of(sorted_weights) -> list[tuple[int, int, int]]:
     """(first rank, weight, length) of each run: rank 0 alone, then ranks of equal weight."""
     runs = [[0, sorted_weights[0], 1]]
