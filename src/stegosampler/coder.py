@@ -160,7 +160,7 @@ def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> St
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
     """Mirror of embed_step driven by the received pixel; returns (prefix, s)."""
     _, _, ends, width = quantize(dist, state)
-    k = dist.order.index(pixel) if dist.rank is None else dist.rank[pixel]
+    k = dist.order.index(pixel)
     start, q_width, first = _run_cell(dist.run_start, ends, width - ends[-1], dist.run_of[k])
     if q_width == 0:
         raise UndecodablePixel(f"pixel {pixel} has zero quantized width")

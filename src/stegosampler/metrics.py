@@ -195,6 +195,8 @@ def _scale_to_bytes(field_: np.ndarray) -> bytearray:
 
 def position_means(reports: Sequence[EmbedReport], attr: str) -> np.ndarray:
     """Per-position mean of a StepRecord field across same-shape reports."""
+    if not reports:
+        raise ValueError("need at least one report")
     shape = (reports[0].width, reports[0].height, reports[0].channels)
     for rep in reports:
         if (rep.width, rep.height, rep.channels) != shape:
@@ -207,7 +209,8 @@ def heatmaps(reports: Sequence[EmbedReport]) -> tuple[ImageGrid, ImageGrid]:
 
     Multi-channel step values are averaged per pixel so the maps stay gray.
     """
-    w, h, c = reports[0].width, reports[0].height, reports[0].channels
     fields = ("h_p", "bits_confirmed")
-    maps = [position_means(reports, f).reshape(h * w, c).mean(axis=1) for f in fields]
+    maps = [position_means(reports, f) for f in fields]  # refuses no report before [0]
+    w, h, c = reports[0].width, reports[0].height, reports[0].channels
+    maps = [m.reshape(h * w, c).mean(axis=1) for m in maps]
     return tuple(ImageGrid(w, h, 1, _scale_to_bytes(m)) for m in maps)

@@ -65,38 +65,48 @@ class PixelDistribution:
     work over: run r holds ranks run_start[r] up to run_start[r + 1], each of
     one weight. Rank 0, which takes the rounding deficit, is always a run of
     its own, and run_start ends with 256; top is its weight, as a Python int.
-    The runs come in one of two layouts:
+    order, the values in rank order, is `bytes` in every row, so a value's
+    rank is order.index(v), one scan of at most 256 bytes. The runs come in
+    one of two layouts:
 
     - at most MANY_RUNS runs of equal weight, for a distribution that serves
       many steps, as a context's does: runs holds each run's (weight, length)
-      as a pair of Python ints, and run_w is None;
+      as a pair of Python ints, run_start and run_of, the run of each rank,
+      are `array.array` rows, and run_w is None;
     - more, or any number for a distribution that serves one step, as a
       stream's does: one run per symbol, so run_w is the sorted weights,
       run_start and run_of are both the shared ALL_RANKS, and runs is None.
 
     Either way a coding step reads the same fields, and each lookup gives a
-    Python int. In the run layout, order, rank (its inverse, order[rank[v]] ==
-    v), run_start and run_of, the run of each rank, are `array.array` rows. One
-    symbol per run, order is `bytes`, and rank is None: extract finds a value's
-    rank with order.index(v), one scan of at most 256 bytes, so no step builds a
-    table that a row read once would use for one entry.
+    Python int.
     """
 
-    __slots__ = ("weights", "total", "top", "order", "rank", "run_start", "run_w", "runs", "run_of")
+    __slots__ = ("weights", "total", "top", "order", "run_start", "run_w", "runs", "run_of")
 
     def __init__(self, weights, sorted_row=None):
-        """`sorted_row` is what `_distributions` derived for these weights from the table it
-        sorted at once: (total, top, order, rank, run_start, run_w, runs, run_of). Without it
-        the weights are sorted here and laid out as a context's."""
+        """`sorted_row` is what a caller that sorted a whole table at once derived for these
+        weights: (total, top, order, run_start, run_w, runs, run_of). Without it the weights,
+        which must be whole numbers, are sorted here and laid out as a context's."""
         if sorted_row is None:
-            weights = np.asarray(weights, dtype=np.int64)
+            given = _integral(weights, "weights")
+            weights = np.asarray(given, dtype=np.int64)
             (total,), (top,), (ok,), sw, order = _sort_rows(weights[None])
-            if not ok:
-                raise _not_a_distribution(weights.tolist())
+            if not ok:  # why, from the weights as given: a float past int64 casts to garbage
+                raise _not_a_distribution(list(map(int, given.tolist())))
             sorted_row = (total, top, *_run_layout(sw, order)[0])
         self.weights = weights
-        (self.total, self.top, self.order, self.rank, self.run_start, self.run_w, self.runs,
+        (self.total, self.top, self.order, self.run_start, self.run_w, self.runs,
          self.run_of) = sorted_row
+
+
+def _integral(table, what: str) -> np.ndarray:
+    """`table` as an array, refused if a value is not a whole number, which an integer cast
+    would truncate. Floats that are whole numbers pass; NaN is not its own trunc, +-inf is."""
+    table = np.asarray(table)
+    kind = table.dtype.kind
+    if kind not in "biuf" or kind == "f" and (np.trunc(table) != table).any():
+        raise ValueError(f"{what} must be integers")
+    return table
 
 
 def _not_a_distribution(weights: list[int]) -> NotADistribution:
@@ -136,10 +146,10 @@ def _sort_rows(w: np.ndarray) -> tuple:
 
 
 def _run_layout(sw: np.ndarray, order: np.ndarray) -> list[tuple]:
-    """(order, rank, run_start, run_w, runs, run_of) of each row of a sorted weight table, for
-    a distribution that serves many steps: its runs of equal weight as pairs of Python ints,
-    and one symbol per run above MANY_RUNS. The lookups of a coding step over runs, order,
-    rank, run_start and run_of, are array.array rows; so rank is built only for those rows."""
+    """(order, run_start, run_w, runs, run_of) of each row of a sorted weight table, for a
+    distribution that serves many steps: order as bytes, and its runs of equal weight as pairs
+    of Python ints with run_start and run_of as array.array rows, or one symbol per run above
+    MANY_RUNS, its sorted weights copied so that the row views none of the table."""
     edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
     runs = edge.sum(axis=1) - 1
@@ -149,41 +159,16 @@ def _run_layout(sw: np.ndarray, order: np.ndarray) -> list[tuple]:
     run_w = sw[kept[:, None], run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
     run_len = run_start[:, 1:] - run_start[:, :-1]
     run_of = edge[kept, :256].cumsum(axis=1, dtype=np.uint8) - 1  # the run of each rank
-    rank = np.empty((len(kept), 256), dtype=np.uint8)  # rank[i, order[kept[i], k]] = k
-    rank[np.arange(len(kept))[:, None], order[kept]] = np.arange(256, dtype=np.uint8)
-    kept_rows = iter(zip(run_start.astype("H"), run_w, run_len, run_of, rank))
+    kept_rows = iter(zip(run_start.astype("H"), run_w, run_len, run_of))
     out = []
     for row, o, r in zip(sw, order, runs.tolist()):
-        if r > MANY_RUNS:  # a copy, so that the row views none of the sorted table
-            out.append(_one_symbol_per_run(row.copy(), o.tobytes()))
+        if r > MANY_RUNS:
+            out.append((o.tobytes(), ALL_RANKS, row.copy(), None, ALL_RANKS))
             continue
-        start, rw, rl, of, k = next(kept_rows)
-        out.append((array("B", o.tobytes()), array("B", k.tobytes()),
-                    array("H", start[: r + 1].tobytes()), None,
+        start, rw, rl, of = next(kept_rows)
+        out.append((o.tobytes(), array("H", start[: r + 1].tobytes()), None,
                     tuple(zip(rw[:r].tolist(), rl[:r].tolist())), array("B", of.tobytes())))
     return out
-
-
-def _one_step_layout(sw: np.ndarray, order: np.ndarray) -> Iterator[tuple]:
-    """The rows of a sorted weight table each laid out for a distribution that serves one step,
-    as a stream's does: one symbol per run, whatever its run count."""
-    orders = order.tobytes()
-    return map(_one_symbol_per_run, sw, (orders[i : i + 256] for i in range(0, len(orders), 256)))
-
-
-def _one_symbol_per_run(row: np.ndarray, order: bytes) -> tuple:
-    """(order, rank, run_start, run_w, runs, run_of) of a sorted weight row stored one symbol
-    per run, 256 runs of one, with no rank table."""
-    return order, None, ALL_RANKS, row, None, ALL_RANKS
-
-
-def _distributions(w: np.ndarray, layout) -> list[PixelDistribution | None]:
-    """A PixelDistribution per row of an int64 (n, 256) weight table, sorted in one pass and
-    laid out by `layout` from the sorted weights and order; None for a row that is no
-    distribution, which PixelDistribution(row) raises on."""
-    totals, tops, valid, sw, order = _sort_rows(w)
-    return [PixelDistribution(row, (total, top, *rows)) if ok else None
-            for row, total, top, ok, rows in zip(w, totals, tops, valid, layout(sw, order))]
 
 
 class FixedModel:
@@ -221,7 +206,7 @@ class StreamModel:
     """
 
     def __init__(self, weights_per_step: np.ndarray):
-        self.table = np.asarray(weights_per_step)
+        self.table = _integral(weights_per_step, "stream weights")
         if self.table.ndim != 2 or self.table.shape[1] != 256:
             raise ValueError("stream table must be (steps, 256)")
         self._first = 0  # step of self._chunk[0]
@@ -255,11 +240,18 @@ class StreamModel:
 
     def _build(self, first: int, stop: int) -> list[PixelDistribution | None]:
         """The distributions of steps first up to stop, or to the end of the stream, sorted in
-        one pass; None for a step whose weights are no distribution."""
+        one pass; None for a step whose weights are no distribution. A row serves one step, so
+        it is stored one symbol per run, whatever its run count: run_w is its row of the sorted
+        chunk, and order its 256 bytes of the chunk's order."""
         if first >= self.steps:
             raise StreamExhausted(f"stream has {self.steps} steps, step {first} requested")
         w = np.asarray(self.table[first:stop], dtype=np.int64)
-        return _distributions(w, _one_step_layout)
+        totals, tops, valid, sw, order = _sort_rows(w)
+        orders = order.tobytes()
+        rows = zip(w, totals, tops, valid, sw, range(0, len(orders), 256))
+        return [PixelDistribution(row, (total, top, orders[i : i + 256], ALL_RANKS, s, None,
+                                        ALL_RANKS)) if ok else None
+                for row, total, top, ok, s, i in rows]
 
 
 def check_buckets(buckets: int) -> None:
@@ -288,7 +280,7 @@ class ContextModel:
         if counts is None:
             counts = np.zeros(shape, dtype=np.uint64)
         else:
-            counts = np.asarray(counts, dtype=np.uint64).reshape(shape)
+            counts = np.asarray(_integral(counts, "counts"), dtype=np.uint64).reshape(shape)
         self.counts = counts
         self._dists: list[PixelDistribution | None] | None = None
 
@@ -349,7 +341,11 @@ class ContextModel:
         w = np.zeros((len(seen) + 1, 256), dtype=np.int64)  # the last row: an unseen context
         # a count of 2^40 or more makes its row no distribution; clipped, it cannot wrap int64
         w[:-1] = np.minimum(counts[seen], WEIGHT_TOTAL_LIMIT)
-        *dists, unseen = _distributions(w + self.smooth, _run_layout)
+        w += self.smooth
+        totals, tops, valid, sw, order = _sort_rows(w)
+        *dists, unseen = [PixelDistribution(row, (total, top, *rows)) if ok else None
+                          for row, total, top, ok, rows in zip(w, totals, tops, valid,
+                                                               _run_layout(sw, order))]
         self._dists = [unseen] * len(counts)
         for row, d in zip(seen.tolist(), dists):
             self._dists[row] = d
@@ -418,11 +414,8 @@ def save_stream(weights_per_step: np.ndarray, sink) -> bytes:
     table = np.asarray(weights_per_step)
     if table.ndim != 2 or table.shape[1] != 256:
         raise ValueError(f"stream table must be shaped (steps, 256), got {table.shape}")
-    kind = table.dtype.kind
-    # NaN is not its own trunc; +-inf is, and fails the range check
-    if kind not in "biuf" or kind == "f" and (np.trunc(table) != table).any():
-        raise ValueError("stream weights must be integers")
-    fits = kind in "bu" and table.dtype.itemsize <= 4  # no value of the dtype needs the check
+    _integral(table, "stream weights")  # +-inf passes, and fails the range check
+    fits = table.dtype.kind in "bu" and table.dtype.itemsize <= 4  # no value needs the check
     if not fits and ((table < 0) | (table >= 1 << 32)).any():
         raise ValueError("stream weights must lie in [0, 2^32)")
     table = np.ascontiguousarray(table, dtype="<u4")

@@ -335,6 +335,12 @@ class TestHeatmaps:
         with pytest.raises(ShapeMismatch):
             heatmaps([fake_report([1] * 4), fake_report([1] * 6, w=3)])
 
+    @pytest.mark.parametrize("maps", [heatmaps, lambda reps: metrics.position_means(reps, "h_p")],
+                             ids=["heatmaps", "position_means"])
+    def test_no_reports(self, maps):
+        with pytest.raises(ValueError, match="need at least one report"):
+            maps([])
+
     def test_rgb_reports_give_gray_maps(self):
         rep = fake_report([1] * 12, w=2, h=2, c=3)
         ent, bits = heatmaps([rep])

@@ -110,16 +110,24 @@ class TestTraining:
         model = train_context_model([gray([[1, 200], [30, 4]]), gray([[255, 0], [9, 9]])], smooth=3)
         model.counts[0, 2, 5] = 0
         model.counts[0, 2, 5, 9] = (1 << 40) - 1 - 256 * 3  # the largest total a context can hold
+        model.counts[0, 3, 4] = np.arange(256) * 7 % 256  # 256 runs: stored one symbol per run
         B = model.buckets
+        layouts = set()
         for left in range(B + 1):
             for up in range(B + 1):
                 query = context_query(left, up, B)
                 assert model.context_of(*query) == left * (B + 1) + up
                 got = model.distribution(*query)
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
-                for field in ("weights", "total", "order", "rank", "run_start", "run_w"):
+                for field in ("weights", "total", "run_start", "run_w"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
-                assert (got.top, got.runs) == (want.top, want.runs), (left, up)
+                assert (got.top, got.order, got.runs) == (want.top, want.order, want.runs)
+                # order is bytes in either layout, and a value's rank is its index there
+                rank = np.argsort(np.argsort(-want.weights, kind="stable")).tolist()
+                assert type(got.order) is bytes, (left, up)
+                assert [got.order.index(v) for v in range(256)] == rank, (left, up)
+                layouts.add(got.runs is None)
+        assert layouts == {False, True}  # run rows and a row past MANY_RUNS
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_training_counts_the_rows_lookup_reads(self, channels):
@@ -339,20 +347,20 @@ class TestStream:
             order = np.argsort(-table[step], kind="stable")
             assert list(got.order) == list(want.order) == order.tolist(), step
             # one symbol per run: order is bytes, and a value's rank is its index there
-            assert type(got.order) is bytes and got.rank is None, step
+            assert type(got.order) is bytes and got.runs is None, step
             assert [got.order.index(v) for v in range(256)] == np.argsort(order).tolist(), step
             assert got.run_start is ALL_RANKS, step
             assert np.array_equal(got.run_w, table[step][order]), step
-            assert got.runs is None and got.run_of is ALL_RANKS, step
+            assert got.run_of is ALL_RANKS, step
             # the standalone distribution serves many steps, so it keeps its runs
             runs = runs_of(table[step][order])
+            assert type(want.order) is bytes, step
+            assert [want.order.index(v) for v in range(256)] == np.argsort(order).tolist(), step
             if len(runs) > MANY_RUNS:  # one symbol per run
                 assert want.run_start is ALL_RANKS and want.runs is None, step
-                assert type(want.order) is bytes and want.rank is None, step
                 assert np.array_equal(want.run_w, table[step][order]), step
             else:
                 assert want.run_w is None, step
-                assert list(want.rank) == np.argsort(order).tolist(), step
                 assert list(want.run_start) == [first for first, _, _ in runs] + [256], step
                 assert want.runs == tuple((w, n) for _, w, n in runs), step
                 assert all(type(x) is int for pair in want.runs for x in pair), step
@@ -482,7 +490,7 @@ def codes_by_rank_past_int64(dist, pixel) -> None:
     """At prc 62 the products of a row stored one symbol per run pass int64, so `quantize`
     tiles it in Python ints; its steps still take the rank as the run, and the pixel codes to
     its cell of the per-symbol cut."""
-    assert dist.rank is None and CoderState(62).width * dist.top > INT64_MAX
+    assert dist.runs is None and CoderState(62).width * dist.top > INT64_MAX
     part = quantize(dist, CoderState(62))
     assert type(part.ends) is list
     cut, k = part.cut, dist.order.index(pixel)
@@ -509,23 +517,22 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
     weights, dist = bundle
     order = np.argsort(-weights, kind="stable")
     assert list(dist.order) == order.tolist()
+    # order is bytes in either layout, and a value's rank is its index there
+    assert type(dist.order) is bytes
+    assert [dist.order.index(v) for v in range(256)] == np.argsort(order).tolist()
     lookups = [dist.order]
-    if dist.rank is None:  # order is bytes, and a value's rank is its index there
-        assert type(dist.order) is bytes
-        assert [dist.order.index(v) for v in range(256)] == np.argsort(order).tolist()
-        assert dist.run_start is dist.run_of is ALL_RANKS and dist.runs is None
+    if dist.runs is None:  # one symbol per run
+        assert dist.run_start is dist.run_of is ALL_RANKS
         assert dist.run_w.base is None  # views none of the sorted table
         assert len(runs_of(weights[order])) > MANY_RUNS
     else:
-        assert list(dist.rank) == np.argsort(order).tolist()
-        assert [dist.order[dist.rank[v]] for v in range(256)] == list(range(256))
-        lookups += [dist.rank, dist.run_start, dist.run_of, *dist.runs]
+        lookups += [dist.run_start, dist.run_of, *dist.runs]
         assert dist.run_w is None
         assert list(dist.run_start) == [first for first, _, _ in runs_of(weights[order])] + [256]
         assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
     assert all(type(x) is int for table in lookups for x in table)
     if dist.top > 1:  # a top weight of 1 keeps every product at prc 62 within int64
-        if dist.rank is None:
+        if dist.runs is None:
             codes_by_rank_past_int64(dist, pixel)
         codes_by_rank_past_int64(StreamModel(weights[None]).distribution(None, POS0), pixel)
 
@@ -545,7 +552,7 @@ def test_all_ranks_is_a_read_only_identity_that_numpy_reads_in_place():
 def test_sorted_contexts_stay_compact():
     """A context's step lookups are compact arrays, and its runs are pairs of Python ints that
     view none of the (contexts, 256) tables they were cut from: sorting the 75 contexts of an
-    RGB noise model holds under 5 KiB per distinct distribution."""
+    RGB noise model holds under 4.5 KiB per distinct distribution."""
     model = train_context_model(noise_corpus(100, 32, 32, 3, seed=3), buckets=4)
     tracemalloc.start()
     try:
@@ -556,7 +563,7 @@ def test_sorted_contexts_stay_compact():
     distinct = {id(d): d for d in model._dists}.values()
     assert len(distinct) == 75
     assert all(d.run_w is None and type(d.runs) is tuple for d in distinct)
-    assert held < 5 * 1024 * len(distinct), f"{held} B held for {len(distinct)} distributions"
+    assert held < 4.5 * 1024 * len(distinct), f"{held} B held for {len(distinct)} distributions"
 
 
 def test_context_rows_holds_two_image_sized_arrays():
@@ -609,3 +616,30 @@ def test_context_rows_is_context_of_everywhere(bundle):
     assert np.array_equal(model.counts.reshape(-1, 256), want)
     alone = sum(train_context_model([img], model.buckets).counts for img in images)
     assert np.array_equal(model.counts, alone)
+
+
+WHOLE_NUMBER_BUILDERS = {
+    "distribution": lambda w: PixelDistribution(np.full(256, w)).weights,
+    "stream": lambda w: StreamModel(np.full((4, 256), w)).distribution(None, POS0).weights,
+    "context counts": lambda w: ContextModel(1, 4, counts=np.full((1, 5, 5, 256), w)).counts,
+    "saved stream": lambda w: load_stream(save_stream(np.full((4, 256), w), None)).table,
+}
+
+
+@pytest.mark.parametrize("build", WHOLE_NUMBER_BUILDERS.values(), ids=WHOLE_NUMBER_BUILDERS)
+def test_weights_that_are_no_whole_numbers_are_refused_not_truncated(build):
+    """Every table of weights or counts refuses a fraction or NaN that an integer cast would
+    truncate, as saving a stream does, and keeps floats that are whole numbers exactly."""
+    for bad in (1.7, 2.9, 1.5, np.nan):
+        with pytest.raises(ValueError, match="must be integers"):
+            build(bad)
+    assert (build(2.0) == 2).all() and (build(np.float32(3)) == 3).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_whole_float_weight_past_int64_is_named_exactly():
+    """numpy stores a list holding 2^63 as floats, which pass as whole numbers; the weight is
+    named exactly, not as the negative weight that its cast to int64 gives."""
+    want = f"weight {1 << 63} of value 0 is not below 2^40, total {(1 << 63) + 255} outside"
+    with pytest.raises(NotADistribution, match=re.escape(want)):
+        PixelDistribution([1 << 63] + [1] * 255)
