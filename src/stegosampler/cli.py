@@ -219,8 +219,8 @@ def run_selftest() -> tuple[bool, str]:
     dist = models.PixelDistribution(_golden_weights())
     state = coder.CoderState(prc=5)
     msg = bitio.BitStream(bitio.BitString(b"\x78", 5), pad_seed=0)
-    rec = coder.embed_step(state, dist, msg)
-    if (rec.pixel_value, rec.bits_confirmed, state.low, state.high) != (4, 4, 0, 31):
+    value, s, _, _ = coder.embed_step(state, dist, msg)
+    if (value, s, state.low, state.high) != (4, 4, 0, 31):
         return False, "golden-step"
     ex_state = coder.CoderState(prc=5)
     prefix, s = coder.extract_step(ex_state, dist, 4)

@@ -15,13 +15,12 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bitio import BitStream, BitString, frame_decode, frame_encode
-from .metrics import STATS, STATS_CELLS, STEP_DTYPE, EmbedReport, StepRecord, step_stats
+from .metrics import STATS, STATS_CELLS, STEP_DTYPE, EmbedReport, step_stats
 from .models import INT64_MAX, NotADistribution, PixelDistribution, StreamExhausted
 from .pnm import ImageGrid, sequence_positions
 
 DEFAULT_PRC = 26
 PRC_MIN, PRC_MAX = 8, 62
-NO_STATS = tuple(StepRecord._field_defaults.values())  # a step's stats before they are filled in
 
 
 class CapacityExceeded(ValueError):
@@ -143,8 +142,11 @@ def _run_cell(run_start, ends, deficit: int, r: int) -> tuple[int, int, int]:
     return start, (ends[r] + deficit - start) // (run_start[r + 1] - first), first
 
 
-def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> StepRecord:
-    """Decode one pixel out of the message window; confirm the shared prefix."""
+def embed_step(
+    state: CoderState, dist: PixelDistribution, msg: BitStream
+) -> tuple[int, int, int, int]:
+    """Decode one pixel out of the message window; confirm the shared prefix. Returns the
+    integer fields of the step's record: (pixel, bits confirmed, q_width, width before)."""
     _, _, ends, width = quantize(dist, state)
     x = msg.window(msg.confirmed_ptr, state.prc) - state.low
     deficit = width - ends[-1]
@@ -154,7 +156,7 @@ def embed_step(state: CoderState, dist: PixelDistribution, msg: BitStream) -> St
     value, start = dist.order[first + i], start + i * q_width
     s, _ = _apply(state, start, q_width)
     msg.confirmed_ptr += s
-    return tuple.__new__(StepRecord, (value, s, q_width, width, *NO_STATS))
+    return value, s, q_width, width
 
 
 def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tuple[int, int]:
@@ -232,10 +234,18 @@ def embed_image(
     state = CoderState(prc)
     grid = ImageGrid.blank(width, height, channels)
     steps = np.empty(grid.steps, STEP_DTYPE)
+    for name in STATS:
+        steps[name] = np.nan
+    # a step's ints go straight into the image and into views of its record's int columns
+    data = grid.data
+    bits_confirmed, q_width, width_before = (
+        memoryview(steps[name]) for name in ("bits_confirmed", "q_width", "width_before"))
     try:
         for pos in sequence_positions(width, height, channels):
-            steps[pos.index] = rec = embed_step(state, model.distribution(grid, pos), msg)
-            grid.data[pos.index] = rec.pixel_value
+            i = pos.index
+            data[i], bits_confirmed[i], q_width[i], width_before[i] = embed_step(
+                state, model.distribution(grid, pos), msg
+            )
     except (StreamExhausted, NotADistribution) as e:
         raise _located(e, pos, prc) from None
     state.check()
@@ -244,6 +254,7 @@ def embed_image(
             f"image confirmed {msg.confirmed_ptr} of {bits.length} framed bits "
             f"at prc {prc}, final interval [{state.low}, {state.high}]"
         )
+    steps["pixel_value"] = np.frombuffer(data, np.uint8)
     if collect:
         _fill_stats(steps, _gather(model, grid))
     return grid, EmbedReport(width, height, channels, prc, steps)

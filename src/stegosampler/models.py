@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from array import array
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -89,9 +90,9 @@ class PixelDistribution:
         which must be whole numbers, are sorted here and laid out as a context's."""
         if sorted_row is None:
             given = _integral(weights, "weights")
-            weights = np.asarray(given, dtype=np.int64)
+            weights = _int64(given)
             (total,), (top,), (ok,), sw, order = _sort_rows(weights[None])
-            if not ok:  # why, from the weights as given: a float past int64 casts to garbage
+            if not ok:  # why, from the weights as given, not as clipped
                 raise _not_a_distribution(list(map(int, given.tolist())))
             sorted_row = (total, top, *_run_layout(sw, order)[0])
         self.weights = weights
@@ -101,12 +102,26 @@ class PixelDistribution:
 
 def _integral(table, what: str) -> np.ndarray:
     """`table` as an array, refused if a value is not a whole number, which an integer cast
-    would truncate. Floats that are whole numbers pass; NaN is not its own trunc, +-inf is."""
+    would truncate. Floats that are whole numbers pass (NaN is not its own trunc, +-inf is),
+    and so do objects that are all ints, as numpy keeps a list holding an int past int64."""
     table = np.asarray(table)
     kind = table.dtype.kind
-    if kind not in "biuf" or kind == "f" and (np.trunc(table) != table).any():
+    if kind == "O":
+        whole = all(isinstance(x, numbers.Integral) for x in table.flat)
+    else:
+        whole = kind in "biu" or kind == "f" and (np.trunc(table) == table).all()
+    if not whole:
         raise ValueError(f"{what} must be integers")
     return table
+
+
+def _int64(table: np.ndarray) -> np.ndarray:
+    """An integral weight table as int64. A float or a Python int past int64 does not cast (a
+    float turns to garbage, an int raises), so a table of those types is clipped to [-1, 2^40]
+    first: a weight outside that range leaves its row no distribution either way."""
+    if table.dtype.kind in "fO":
+        table = table.clip(-1, WEIGHT_TOTAL_LIMIT)
+    return np.asarray(table, dtype=np.int64)
 
 
 def _not_a_distribution(weights: list[int]) -> NotADistribution:
@@ -245,7 +260,7 @@ class StreamModel:
         chunk, and order its 256 bytes of the chunk's order."""
         if first >= self.steps:
             raise StreamExhausted(f"stream has {self.steps} steps, step {first} requested")
-        w = np.asarray(self.table[first:stop], dtype=np.int64)
+        w = _int64(self.table[first:stop])
         totals, tops, valid, sw, order = _sort_rows(w)
         orders = order.tobytes()
         rows = zip(w, totals, tops, valid, sw, range(0, len(orders), 256))
@@ -280,7 +295,10 @@ class ContextModel:
         if counts is None:
             counts = np.zeros(shape, dtype=np.uint64)
         else:
-            counts = np.asarray(_integral(counts, "counts"), dtype=np.uint64).reshape(shape)
+            counts = _integral(counts, "counts")
+            if counts.dtype.kind in "ifO" and ((counts < 0) | (counts >= 1 << 64)).any():
+                raise ValueError("counts must lie in [0, 2^64)")  # a uint64 cast would wrap
+            counts = np.asarray(counts, dtype=np.uint64).reshape(shape)
         self.counts = counts
         self._dists: list[PixelDistribution | None] | None = None
 

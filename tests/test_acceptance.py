@@ -60,10 +60,10 @@ def test_criterion_1_golden_vector():
             state = CoderState(5)
             msg = BitStream(BitString(b"\x78", 5), pad_seed=0)
             t0 = time.perf_counter()
-            rec = embed_step(state, dist, msg)
+            value, s, q_width, width = embed_step(state, dist, msg)
             elapsed.append(time.perf_counter() - t0)
-            assert rec.pixel_value == 4
-            assert rec.bits_confirmed == 4
+            assert value == 4
+            assert s == 4
             assert (state.low, state.high) == (0, 31)
             ex = CoderState(5)
             prefix, s = coder.extract_step(ex, dist, 4)

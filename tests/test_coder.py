@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stegosampler.bitio import BitStream, BitString
+from stegosampler.bitio import BitStream, BitString, frame_encode
 from stegosampler.coder import (
     BrokenInvariant,
     CapacityExceeded,
@@ -23,6 +24,7 @@ from stegosampler.coder import (
     lsb_extract,
     quantize,
 )
+from stegosampler.metrics import STATS, step_stats
 from stegosampler.models import (
     INT64_MAX,
     MANY_RUNS,
@@ -96,15 +98,17 @@ class TestQuantize:
 class TestEmbedStep:
     def test_golden_five_bit_vector(self):
         state = CoderState(5)
-        rec = embed_step(state, golden_weights(), stream("01111"))
-        assert rec.pixel_value == 4
-        assert rec.bits_confirmed == 4
+        value, s, q_width, width = embed_step(state, golden_weights(), stream("01111"))
+        assert value == 4
+        assert s == 4
         assert (state.low, state.high) == (0, 31)
 
     def test_point_mass_zero_bits(self):
         state = CoderState(26)
-        rec = embed_step(state, DegenerateModel(7).distribution(None, None), stream("1010"))
-        assert (rec.pixel_value, rec.bits_confirmed) == (7, 0)
+        value, s, q_width, width = embed_step(
+            state, DegenerateModel(7).distribution(None, None), stream("1010")
+        )
+        assert (value, s) == (7, 0)
         assert (state.low, state.high) == (0, (1 << 26) - 1)
 
     def test_uniform_confirms_top_byte(self):
@@ -113,9 +117,9 @@ class TestEmbedStep:
         for byte in (0, 1, 137, 255):
             msg = stream(format(byte << 18, "026b"), 3)
             state = CoderState(26)
-            rec = embed_step(state, UNIFORM, msg)
-            assert rec.pixel_value == int(Fraction(byte << 18, 1 << 26) * 256)
-            assert rec.bits_confirmed == 8
+            value, s, q_width, width = embed_step(state, UNIFORM, msg)
+            assert value == int(Fraction(byte << 18, 1 << 26) * 256)
+            assert s == 8
             assert msg.confirmed_ptr == 8
 
 
@@ -428,8 +432,8 @@ def test_run_steps_match_the_full_cut(weights, register, u):
     expect = clone(state)
     s = _apply(expect, cut[k], cut[k + 1] - cut[k])[0]
     got = clone(state)
-    rec = embed_step(got, dist, stream(format(low + x, f"0{prc}b")))
-    assert (rec.pixel_value, rec.q_width, rec.bits_confirmed) == (order[k], cut[k + 1] - cut[k], s)
+    value, bits, q_width, width = embed_step(got, dist, stream(format(low + x, f"0{prc}b")))
+    assert (value, q_width, bits) == (order[k], cut[k + 1] - cut[k], s)
     assert (got.low, got.high) == (expect.low, expect.high)
 
     for k, pixel in enumerate(order):
@@ -469,11 +473,11 @@ def test_steps_keep_interval_invariants(dists, prc, payload, seed):
     for dist in dists:
         ptr = msg.confirmed_ptr
         assert sender.low <= msg.window(ptr, prc) <= sender.high
-        rec = embed_step(sender, dist, msg)
+        value, bits, q_width, width = embed_step(sender, dist, msg)
         sender.check()
-        prefix, s = extract_step(receiver, dist, rec.pixel_value)
+        prefix, s = extract_step(receiver, dist, value)
         receiver.check()
-        assert s == rec.bits_confirmed
+        assert s == bits
         assert prefix == msg.window(ptr, s)
         assert (receiver.low, receiver.high) == (sender.low, sender.high)
 
@@ -717,3 +721,67 @@ def test_lsb_roundtrip_any_seed(seed, payload):
     n = 8 * len(payload)
     grid = lsb_embed(model, n, 1, 1, payload, rng_seed=seed, pad_seed=1)
     assert lsb_extract(grid).to_bytes() == payload
+
+
+def records_model(kind):
+    """A model of each kind that embed_image serves step by step: a 3-channel context model
+    whose contexts hold both run layouts, a stream, or a fixed model."""
+    rng = np.random.default_rng(7)
+    if kind == "context":
+        counts = rng.integers(0, 4, (12, 256))  # a few runs of equal weight
+        counts[::2] = rng.permutation(1 << 12)[:256]  # 256 runs: one symbol per run
+        return ContextModel(3, 1, 1, counts)
+    if kind == "stream":
+        return StreamModel(rng.integers(1, 1 << 20, (RECORDS_STEPS, 256)))
+    weights = np.arange(1, 257) % 7 + 1
+    weights[40:] = 0  # few enough values that prc 8 confirms the framed byte
+    return FixedModel(weights)
+
+
+RECORDS_SHAPE = (9, 7, 3)
+RECORDS_STEPS = 9 * 7 * 3
+INT_FIELDS = ["pixel_value", "bits_confirmed", "q_width", "width_before"]
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["framed", "raw"])
+@pytest.mark.parametrize("prc", [8, 26, 62])
+@pytest.mark.parametrize("kind", ["context", "stream", "fixed"])
+def test_records_are_what_embed_step_returns(kind, prc, framed):
+    """embed_image's image and the int columns of its records are what a loop of embed_step
+    over model.distribution gives; its stats are step_stats of those distributions when
+    collected, and NaN when not."""
+    bits = frame_encode(b"\xc5") if framed else BitString(b"\xc5")
+    state, msg = CoderState(prc), BitStream(bits, 3)
+    grid, model = ImageGrid.blank(*RECORDS_SHAPE), records_model(kind)
+    rows, dists = [], []
+    for pos in sequence_positions(*RECORDS_SHAPE):
+        dists.append(model.distribution(grid, pos))
+        rows.append(embed_step(state, dists[-1], msg))
+        grid.data[pos.index] = rows[-1][0]
+    assert msg.confirmed_ptr >= bits.length
+    if kind == "context":
+        assert {d.runs is None for d in dists} == {True, False}
+    stats = step_stats(dists, np.array([row[3] for row in rows]))
+    for collect in (True, False):
+        got, rep = embed_image(records_model(kind), *RECORDS_SHAPE, b"\xc5", prc, framed, 3,
+                               collect)
+        assert got.data == grid.data
+        assert rep.steps[INT_FIELDS].tolist() == rows
+        for name, col in zip(STATS, stats.T):
+            assert np.array_equal(rep.steps[name], col if collect else np.full_like(col, np.nan),
+                                  equal_nan=True), name
+
+
+def test_embed_holds_no_object_per_step():
+    """A 96x96 RGB embed without stats holds its record array, its image and a few KiB
+    besides at its peak: no Python object per step, as a list of each step's ints would be."""
+    width = height = 96
+    tracemalloc.start()
+    try:
+        grid, rep = embed_image(UniformModel(), width, height, 3, b"", framed=False, pad_seed=1,
+                                collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = rep.steps.nbytes + len(grid.data)
+    assert peak < held + (64 << 10), f"a peak of {peak} B for {held} B of records and image"

@@ -12,7 +12,6 @@ from stegosampler.bitio import BitStream, BitString
 from stegosampler.coder import (
     CapacityExceeded,
     CoderState,
-    StepRecord,
     embed_image,
     embed_step,
     quantize,
@@ -23,6 +22,7 @@ from stegosampler.metrics import (
     AbsoluteContinuityViolated,
     EmbedReport,
     ShapeMismatch,
+    StepRecord,
     aggregate,
     heatmaps,
     step_stats,
@@ -366,11 +366,11 @@ class TestSteps:
         records, dists = [], []
         for pos in sequence_positions(W, H, 1):
             dists.append(MODEL.distribution(grid, pos))
-            rec = embed_step(state, dists[-1], msg)
-            grid.data[pos.index] = rec.pixel_value
-            records.append(rec)
+            value, s, q_width, width = embed_step(state, dists[-1], msg)
+            grid.data[pos.index] = value
+            records.append(StepRecord(value, s, q_width, width))
         assert rep.steps.dtype.names == StepRecord._fields
-        assert np.isnan([rec[4:] for rec in records]).all()  # embed_step leaves the stats out
+        assert np.isnan(embed(collect=False, prc=prc)[1].steps[list(STATS)].tolist()).all()
         assert [row[:4] for row in rep.steps.tolist()] == [rec[:4] for rec in records]
         stats = step_stats(dists, rep.steps.width_before)
         for i, name in enumerate(STATS):

@@ -504,8 +504,8 @@ def codes_by_rank_past_int64(dist, pixel) -> None:
     assert extract_step(got, dist, pixel) == (prefix, s)
     assert (got.low, got.high) == (want.low, want.high)
     window = BitStream(BitString((cut[k] << 2).to_bytes(8, "big"), 62), 0)
-    rec = embed_step(CoderState(62), dist, window)
-    assert (rec.pixel_value, rec.bits_confirmed, rec.q_width) == (pixel, s, cut[k + 1] - cut[k])
+    value, bits, q_width, width = embed_step(CoderState(62), dist, window)
+    assert (value, bits, q_width) == (pixel, s, cut[k + 1] - cut[k])
 
 
 @settings(max_examples=120, deadline=None)
@@ -643,3 +643,55 @@ def test_whole_float_weight_past_int64_is_named_exactly():
     want = f"weight {1 << 63} of value 0 is not below 2^40, total {(1 << 63) + 255} outside"
     with pytest.raises(NotADistribution, match=re.escape(want)):
         PixelDistribution([1 << 63] + [1] * 255)
+
+
+@pytest.mark.parametrize(
+    "weight, why",
+    [
+        (1 << 64, f"weight {1 << 64} of value 0 is not below 2^40, total {(1 << 64) + 255} outside"),
+        (-(1 << 70), "weights must be non-negative"),
+    ],
+    ids=["2^64", "-2^70"],
+)
+def test_int_weight_past_int64_is_named_exactly(weight, why):
+    """numpy keeps a list holding an int past int64 as objects, which are whole numbers: the
+    distribution names why its weights are none, as it does for a float past int64."""
+    with pytest.raises(NotADistribution, match=re.escape(why)):
+        PixelDistribution([weight] + [1] * 255)
+
+
+def test_stream_of_int_objects_codes_and_names_a_weight_past_int64():
+    """A stream table of Python ints codes as its int64 copy would; a row holding an int past
+    int64 is refused, at its own step, for what it is."""
+    table = np.array([[5] * 256, [1 << 64] + [1] * 255, [3] * 256], dtype=object)
+    assert StreamModel(table).distribution(None, POS0).total == 5 * 256
+    with pytest.raises(NotADistribution, match=rf"^step 1 .* weight {1 << 64} of value 0 is not"):
+        coder.embed_image(StreamModel(table), 3, 1, 1, b"", framed=False, pad_seed=0)
+    table[1] = 4
+    got = coder.embed_image(StreamModel(table), 3, 1, 1, b"\x9e", framed=False, pad_seed=0)
+    want = coder.embed_image(
+        StreamModel(table.astype(np.int64)), 3, 1, 1, b"\x9e", framed=False, pad_seed=0)
+    assert got[0].data == want[0].data
+
+
+def test_context_counts_outside_uint64_are_refused_not_wrapped():
+    """Counts given as Python ints are held as uint64 when they fit. A count outside uint64,
+    be it a Python int, an int64 or a float, is refused with a ValueError: not with an
+    OverflowError, and not cast into a count of about 2^64."""
+    counts = np.full((1, 5, 5, 256), 7, dtype=object)
+    assert (ContextModel(1, 4, counts=counts).counts == 7).all()
+    for dtype, bad in ((object, -1), (object, 1 << 64), (np.int64, -1), (float, 2.0**64)):
+        table = counts.astype(dtype)
+        table[0, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match=re.escape("counts must lie in [0, 2^64)")):
+            ContextModel(1, 4, counts=table)
+
+
+def test_saved_stream_of_int_objects_is_range_checked():
+    """save_stream writes a table of Python ints that fit u32, and names the range of one that
+    does not."""
+    table = np.full((2, 256), 9, dtype=object)
+    assert (load_stream(save_stream(table, None)).table == 9).all()
+    table[1, 3] = 1 << 64
+    with pytest.raises(ValueError, match=re.escape("stream weights must lie in [0, 2^32)")):
+        save_stream(table, None)
