@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Write a synthetic stroke corpus as PGM/PPM files for CLI training.
 
-A bad argument or an unwritable output ends in one `error:` line and exit code 2, as in the
-stegosampler CLI."""
+A bad argument, an image too large to allocate or an unwritable output ends in one `error:`
+line and exit code 2, through the stegosampler CLI's mapping of errors to exit codes."""
 import argparse
 import os
-import sys
 
 from stegosampler import cli, corpus, pnm
 
@@ -19,20 +18,18 @@ def main() -> int:
     ap.add_argument("--rgb", action="store_true")
     ap.add_argument("--noise", type=float, default=0.0)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    return cli.run_handler(write_corpus, ap.parse_args())
 
+
+def write_corpus(args) -> int:
     channels = 3 if args.rgb else 1
     ext = "ppm" if args.rgb else "pgm"
-    try:
-        images = corpus.stroke_corpus(
-            args.count, args.width, args.height, channels, seed=args.seed, noise=args.noise
-        )
-        os.makedirs(args.out, exist_ok=True)
-        for i, img in enumerate(images):
-            pnm.write_image(img, os.path.join(args.out, f"stroke_{i:05d}.{ext}"))
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return cli.EXIT_CONFIG
+    images = corpus.stroke_corpus(
+        args.count, args.width, args.height, channels, seed=args.seed, noise=args.noise
+    )
+    os.makedirs(args.out, exist_ok=True)
+    for i, img in enumerate(images):
+        pnm.write_image(img, os.path.join(args.out, f"stroke_{i:05d}.{ext}"))
     print(f"wrote {len(images)} images to {args.out}")
     return 0
 

@@ -6,13 +6,12 @@ with the arithmetic-coding sampler and with the LSB rejection baseline, and
 prints mean +/- std for ER and for the distortion between the effective
 sampling distribution q and the model distribution p.
 
-A bad argument or an unwritable output ends in one `error:` line and exit code 2, as in the
-stegosampler CLI, and the three outputs are written all or none, as `stegosampler analyze`
-writes them.
+A bad argument, an image too large to allocate or an unwritable output ends in one `error:`
+line and exit code 2, through the stegosampler CLI's mapping of errors to exit codes, and the
+three outputs are written all or none, as `stegosampler analyze` writes them.
 """
 import argparse
 import io
-import sys
 import time
 
 import numpy as np
@@ -40,21 +39,15 @@ def main() -> int:
     ap.add_argument("--out-csv", default="desk_eval.csv")
     ap.add_argument("--out-entropy-map", default="entropy_map.pgm")
     ap.add_argument("--out-bits-map", default="bits_map.pgm")
-    args = ap.parse_args()
-    try:
-        # refused before the corpus is drawn and the model trained
-        if args.count < 1:
-            raise ValueError(f"count must be at least 1, got {args.count}")
-        coder.check_prc(args.prc)
-        models.check_buckets(args.buckets)
-        evaluate(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return cli.EXIT_CONFIG
-    return 0
+    return cli.run_handler(evaluate, ap.parse_args())
 
 
-def evaluate(args) -> None:
+def evaluate(args) -> int:
+    # refused before the corpus is drawn and the model trained
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
+    coder.check_prc(args.prc)
+    models.check_buckets(args.buckets)
     t0 = time.perf_counter()
     strokes = corpus.stroke_corpus(
         args.corpus_size, args.width, args.height, 1, seed=args.seed
@@ -86,8 +79,8 @@ def evaluate(args) -> None:
         )
         lsb_ers.append(coder.lsb_extract(grid).length / steps)
         klds = [
-            lsb_step_kld(model.distribution(grid, pos), grid.data[pos.index] & 1)
-            for pos in pnm.sequence_positions(args.width, args.height, 1)
+            lsb_step_kld(dist, pixel & 1)
+            for dist, pixel in zip(model.image_distributions(grid), grid.data)
         ]
         lsb_klds.append(float(np.mean(klds)))
     er, kld = metrics.mean_std(lsb_ers), metrics.mean_std(lsb_klds)
@@ -107,6 +100,7 @@ def evaluate(args) -> None:
     bits = metrics.position_means(reports, "bits_confirmed")
     print(f"entropy/bits position correlation: {np.corrcoef(h_q, bits)[0, 1]:.3f}")
     print(f"wrote {args.out_csv}, {args.out_entropy_map}, {args.out_bits_map}")
+    return 0
 
 
 if __name__ == "__main__":

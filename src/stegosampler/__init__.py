@@ -29,6 +29,6 @@ from .models import (
     train_context_model,
     weights_from_floats,
 )
-from .pnm import ImageGrid, SequencePosition, read_image, sequence_positions, write_image
+from .pnm import ImageGrid, read_image, write_image
 
 __all__ = [name for name in dir() if not name.startswith("_")]

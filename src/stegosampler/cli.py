@@ -262,6 +262,12 @@ def main(argv=None) -> int:
         "analyze": cmd_analyze,
         "selftest": cmd_selftest,
     }[args.command]
+    return run_handler(handler, args)
+
+
+def run_handler(handler, args) -> int:
+    """`handler(args)`, which returns an exit code; an error of EXIT_CODES ends instead in
+    one `error:` line on stderr and its code. The scripts under scripts/ end through it too."""
     try:
         return handler(args)
     except tuple(EXIT_CODES) as e:

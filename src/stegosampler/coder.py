@@ -17,7 +17,7 @@ import numpy as np
 from .bitio import BitStream, BitString, frame_decode, frame_encode
 from .metrics import STATS, STATS_CELLS, STEP_DTYPE, EmbedReport, step_stats
 from .models import INT64_MAX, NotADistribution, PixelDistribution, StreamExhausted
-from .pnm import ImageGrid, sequence_positions
+from .pnm import ImageGrid
 
 DEFAULT_PRC = 26
 PRC_MIN, PRC_MAX = 8, 62
@@ -170,9 +170,12 @@ def extract_step(state: CoderState, dist: PixelDistribution, pixel: int) -> tupl
     return prefix, s
 
 
-def _located(e: ValueError, pos, prc: int) -> ValueError:
-    """The same error, its message prefixed with the step's position and the prc."""
-    where = f"step {pos.index} (row {pos.row}, column {pos.col}, channel {pos.channel})"
+def _located(e: ValueError, step: int, image: ImageGrid, prc: int) -> ValueError:
+    """The same error, its message prefixed with the step, its place in the image and the
+    prc. Steps run in raster order, channels interleaved per pixel."""
+    pixel, channel = divmod(step, image.channels)
+    row, col = divmod(pixel, image.width)
+    where = f"step {step} (row {row}, column {col}, channel {channel})"
     return type(e)(f"{where} at prc {prc}: {e}")
 
 
@@ -200,8 +203,7 @@ def _gather(model, image: ImageGrid) -> Iterator[PixelDistribution]:
     gather where it has one, else one lookup per step."""
     if hasattr(model, "image_distributions"):
         return model.image_distributions(image)
-    shape = image.width, image.height, image.channels
-    return map(model.distribution, repeat(image), sequence_positions(*shape))
+    return map(model.distribution, repeat(image), range(image.steps))
 
 
 def _fill_stats(steps: np.ndarray, dists: Iterator[PixelDistribution]) -> None:
@@ -241,13 +243,12 @@ def embed_image(
     bits_confirmed, q_width, width_before = (
         memoryview(steps[name]) for name in ("bits_confirmed", "q_width", "width_before"))
     try:
-        for pos in sequence_positions(width, height, channels):
-            i = pos.index
+        for i in range(grid.steps):
             data[i], bits_confirmed[i], q_width[i], width_before[i] = embed_step(
-                state, model.distribution(grid, pos), msg
+                state, model.distribution(grid, i), msg
             )
     except (StreamExhausted, NotADistribution) as e:
-        raise _located(e, pos, prc) from None
+        raise _located(e, i, grid, prc) from None
     state.check()
     if framed and msg.confirmed_ptr < bits.length:
         raise CapacityExceeded(
@@ -264,15 +265,14 @@ def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
     _check_run(model, image.channels, prc)
     state = CoderState(prc)
     out = BitString()
-    step = 0  # the step reached, whose position a failure rebuilds
+    step = 0  # the step reached, which a failure names
     try:
         for dist, pixel in zip(_gather(model, image), image.data):
             prefix, s = extract_step(state, dist, pixel)
             out.append(prefix, s)
             step += 1
     except (UndecodablePixel, StreamExhausted, NotADistribution) as e:
-        shape = image.width, image.height, image.channels
-        raise _located(e, next(islice(sequence_positions(*shape), step, None)), prc) from None
+        raise _located(e, step, image, prc) from None
     state.check()
     return out
 
@@ -299,14 +299,14 @@ def lsb_embed(
     msg = BitStream(BitString(message), pad_seed)
     rng = random.Random(rng_seed)
     grid = ImageGrid.blank(width, height, channels)
-    for pos in sequence_positions(width, height, channels):
+    for i in range(grid.steps):
         want = msg.window(msg.confirmed_ptr, 1)
         msg.confirmed_ptr += 1
-        cum = np.cumsum(model.distribution(grid, pos).weights[want::2])
+        cum = np.cumsum(model.distribution(grid, i).weights[want::2])
         if cum[-1] == 0:
             raise NoParityMass(f"no weight on values with LSB {want}")
         r = rng.randrange(int(cum[-1]))
-        grid.data[pos.index] = want + 2 * int(np.searchsorted(cum, r, side="right"))
+        grid.data[i] = want + 2 * int(np.searchsorted(cum, r, side="right"))
     return grid
 
 

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .pnm import BadMagic, ImageGrid, SequencePosition, read_bytes, write_bytes
+from .pnm import BadMagic, ImageGrid, read_bytes, write_bytes
 
 # A distribution's weights and total are below this, so an int64 sum of 256 weights cannot
 # wrap; it leaves headroom for interval multiplication at prc <= 62
@@ -192,7 +192,7 @@ class FixedModel:
     def __init__(self, weights):
         self._dist = PixelDistribution(weights)
 
-    def distribution(self, prefix, pos) -> PixelDistribution:
+    def distribution(self, prefix, step: int) -> PixelDistribution:
         return self._dist
 
 
@@ -231,14 +231,14 @@ class StreamModel:
     def steps(self) -> int:
         return self.table.shape[0]
 
-    def distribution(self, prefix, pos) -> PixelDistribution:
-        i = pos.index - self._first
+    def distribution(self, prefix, step: int) -> PixelDistribution:
+        i = step - self._first
         if not 0 <= i < len(self._chunk):
             self._chunk = []  # the old chunk goes before the next is built
-            self._chunk = self._build(pos.index, pos.index + STREAM_CHUNK)
-            self._first, i = pos.index, 0
+            self._chunk = self._build(step, step + STREAM_CHUNK)
+            self._first, i = step, 0
         # a step whose weights are no distribution raises only when asked for
-        return self._chunk[i] or PixelDistribution(self.table[pos.index])
+        return self._chunk[i] or PixelDistribution(self.table[step])
 
     def image_distributions(self, image: ImageGrid) -> Iterator[PixelDistribution]:
         """The distribution of every step of an image, in coding order: one chunk built at a
@@ -302,18 +302,18 @@ class ContextModel:
         self.counts = counts
         self._dists: list[PixelDistribution | None] | None = None
 
-    def context_of(self, prefix: ImageGrid, pos: SequencePosition) -> int:
+    def context_of(self, prefix: ImageGrid, step: int) -> int:
         """The context id, (channel*(B+1) + left)*(B+1) + up, of the bucketed same-channel
-        neighbours, read from the flat raster."""
-        B = self.buckets
-        i, data = pos.index, prefix.data
-        left = B if pos.col == 0 else data[i - prefix.channels] * B >> 8
-        up = B if pos.row == 0 else data[i - prefix.width * prefix.channels] * B >> 8
-        return (pos.channel * (B + 1) + left) * (B + 1) + up
+        neighbours of subpixel `step`, read from the flat raster."""
+        B, c, data = self.buckets, prefix.channels, prefix.data
+        row = prefix.width * c  # the subpixels of one image row
+        left = B if step % row < c else data[step - c] * B >> 8
+        up = B if step < row else data[step - row] * B >> 8
+        return (step % c * (B + 1) + left) * (B + 1) + up
 
     def context_rows(self, vals: np.ndarray) -> np.ndarray:
         """The context id of every subpixel of an (n, h, w, c) uint8 image stack, as uint32:
-        context_of at every position at once."""
+        context_of at every step at once."""
         B = self.buckets
         bucketed = vals.astype(np.uint32)  # a uint8 product would wrap
         bucketed *= B
@@ -326,10 +326,10 @@ class ContextModel:
         rows += np.arange(vals.shape[3], dtype=np.uint32) * np.uint32((B + 1) ** 2)
         return rows
 
-    def distribution(self, prefix: ImageGrid, pos: SequencePosition) -> PixelDistribution:
+    def distribution(self, prefix: ImageGrid, step: int) -> PixelDistribution:
         if self._dists is None:
             self._sort_contexts()
-        row = self.context_of(prefix, pos)
+        row = self.context_of(prefix, step)
         # a context whose weights are no distribution raises only when asked for
         return self._dists[row] or self._refuse(row)
 

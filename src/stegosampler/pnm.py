@@ -1,12 +1,9 @@
-"""Bit-exact PGM (P5) / PPM (P6) reading and writing, plus raster traversal."""
+"""Bit-exact PGM (P5) / PPM (P6) reading and writing."""
 from __future__ import annotations
 
 import re
 import sys
 from dataclasses import dataclass
-from itertools import count, product, repeat
-from operator import add
-from typing import Iterator, NamedTuple
 
 
 class BadMagic(ValueError):
@@ -57,24 +54,6 @@ class ImageGrid:
     @property
     def steps(self) -> int:
         return self.width * self.height * self.channels
-
-
-class SequencePosition(NamedTuple):
-    """One coding step: subpixel index plus its raster coordinates."""
-
-    index: int
-    row: int
-    col: int
-    channel: int
-
-
-def sequence_positions(width: int, height: int, channels: int) -> Iterator[SequencePosition]:
-    """Positions in coding order: row-major, channels interleaved per pixel.
-
-    Built from C iterators, so a position costs no Python frame: each (index,) + (row, col,
-    channel) becomes a SequencePosition through tuple.__new__, as its own constructor makes it."""
-    coords = product(range(height), range(width), range(channels))
-    return map(tuple.__new__, repeat(SequencePosition), map(add, zip(count()), coords))
 
 
 # The header after the magic is width, height and maxval, each after a run of gaps, then

@@ -1,6 +1,7 @@
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stegosampler.coder import (
     NoParityMass,
     UndecodablePixel,
     _apply,
+    _located,
     embed_image,
     embed_step,
     extract_bits,
@@ -39,7 +41,7 @@ from stegosampler.models import (
     UniformModel,
     train_context_model,
 )
-from stegosampler.pnm import ImageGrid, sequence_positions
+from stegosampler.pnm import ImageGrid
 
 UNIFORM = PixelDistribution(np.ones(256, dtype=np.int64))
 
@@ -189,13 +191,32 @@ class TestImages:
             extract_image(model, grid, prc=30, framed=False)
 
     def test_no_distribution_names_its_step(self):
-        table = np.ones((6, 256), dtype=np.int64)
-        table[4] = 0  # row 1, column 1 of a 3x2 gray image
-        where = r"step 4 \(row 1, column 1, channel 0\) at prc 30: total 0 outside"
-        with pytest.raises(NotADistribution, match=where):
-            embed_image(StreamModel(table), 3, 2, 1, b"", prc=30, framed=False, pad_seed=0)
-        with pytest.raises(NotADistribution, match=where):
-            extract_image(StreamModel(table), ImageGrid.blank(3, 2, 1), prc=30, framed=False)
+        # (shape, the zero row, where it lies) of a 3x2 gray image and of a 3x2 RGB one
+        for shape, zero, where in [
+            ((3, 2, 1), 4, r"step 4 \(row 1, column 1, channel 0\) at prc 30: total 0 outside"),
+            ((3, 2, 3), 16, r"step 16 \(row 1, column 2, channel 1\) at prc 30: total 0 outside"),
+        ]:
+            table = np.ones((np.prod(shape), 256), dtype=np.int64)
+            table[zero] = 0
+            with pytest.raises(NotADistribution, match=where):
+                embed_image(StreamModel(table), *shape, b"", prc=30, framed=False, pad_seed=0)
+            with pytest.raises(NotADistribution, match=where):
+                extract_image(StreamModel(table), ImageGrid.blank(*shape), prc=30, framed=False)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 3, 3), (7, 2, 3), (28, 28, 1)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_located_names_the_nested_loops_place(self, shape):
+        """Steps run in raster order, channels interleaved per pixel: at every step of a
+        width x height x channels image, a located error names the (row, column, channel) that
+        nested row, column and channel loops reach there."""
+        width, height, channels = shape
+        image = ImageGrid.blank(*shape)
+        places = product(range(height), range(width), range(channels))
+        for step, (row, col, channel) in enumerate(places):
+            e = _located(UndecodablePixel("why"), step, image, 26)
+            where = f"step {step} (row {row}, column {col}, channel {channel})"
+            assert type(e) is UndecodablePixel and str(e) == f"{where} at prc 26: why"
+        assert step == image.steps - 1
 
     def test_prc_range(self):
         with pytest.raises(ValueError):
@@ -483,14 +504,14 @@ def test_steps_keep_interval_invariants(dists, prc, payload, seed):
 
 
 class RowsAloneModel:
-    """Serves PixelDistribution(table[i]) at step i: each row sorted alone and stored as its
-    runs, as a distribution that serves many steps is."""
+    """Serves PixelDistribution(table[step]) at each step: each row sorted alone and stored as
+    its runs, as a distribution that serves many steps is."""
 
     def __init__(self, table):
         self.table = table
 
-    def distribution(self, prefix, pos):
-        return PixelDistribution(self.table[pos.index])
+    def distribution(self, prefix, step):
+        return PixelDistribution(self.table[step])
 
 
 @st.composite
@@ -542,15 +563,16 @@ def test_stream_codes_what_rows_sorted_alone_code(weights, prc, framed, payload,
 
 def per_step_extract(model, image, prc):
     """The extract loop that looks up each step's distribution through model.distribution, and
-    locates a failure at the position of the step it is raised in."""
+    locates a failure at the row, column and channel of the step it is raised in."""
     state, out = CoderState(prc), BitString()
+    places = product(range(image.height), range(image.width), range(image.channels))
     try:
-        for pos in sequence_positions(image.width, image.height, image.channels):
-            dist = model.distribution(image, pos)
-            prefix, s = extract_step(state, dist, image.data[pos.index])
+        for step, (row, col, channel) in enumerate(places):
+            dist = model.distribution(image, step)
+            prefix, s = extract_step(state, dist, image.data[step])
             out.append(prefix, s)
     except (UndecodablePixel, StreamExhausted, NotADistribution) as e:
-        where = f"step {pos.index} (row {pos.row}, column {pos.col}, channel {pos.channel})"
+        where = f"step {step} (row {row}, column {col}, channel {channel})"
         raise type(e)(f"{where} at prc {prc}: {e}") from None
     state.check()
     return out
@@ -754,10 +776,10 @@ def test_records_are_what_embed_step_returns(kind, prc, framed):
     state, msg = CoderState(prc), BitStream(bits, 3)
     grid, model = ImageGrid.blank(*RECORDS_SHAPE), records_model(kind)
     rows, dists = [], []
-    for pos in sequence_positions(*RECORDS_SHAPE):
-        dists.append(model.distribution(grid, pos))
+    for step in range(RECORDS_STEPS):
+        dists.append(model.distribution(grid, step))
         rows.append(embed_step(state, dists[-1], msg))
-        grid.data[pos.index] = rows[-1][0]
+        grid.data[step] = rows[-1][0]
     assert msg.confirmed_ptr >= bits.length
     if kind == "context":
         assert {d.runs is None for d in dists} == {True, False}

@@ -35,7 +35,7 @@ from stegosampler.models import (
     PixelDistribution,
     StreamModel,
 )
-from stegosampler.pnm import ImageGrid, sequence_positions
+from stegosampler.pnm import ImageGrid
 
 
 def dist(**mass):
@@ -232,11 +232,11 @@ class PlannedModel:
     def __init__(self, plan, seed):
         self.plan, self.seed = plan, seed
 
-    def distribution(self, prefix, pos):
-        kind = self.plan[pos.index // 256]
+    def distribution(self, prefix, step):
+        kind = self.plan[step // 256]
         if kind < 2:
             return (self.NARROW, self.WIDE)[kind]
-        rng = np.random.default_rng([self.seed, pos.index])
+        rng = np.random.default_rng([self.seed, step])
         return PixelDistribution(rng.choice([1, 5, 90, 1000], 256))
 
 
@@ -267,7 +267,7 @@ def test_stats_chunks_stay_within_their_cells(plan, seed):
     tables = [c for c, after in zip(calls, calls[1:] + [(0,)]) if after[0] <= c[0]]
     assert sum(n for _, n, _ in fills) == 70 * 60
     assert all(n * runs <= STATS_CELLS for _, n, runs in tables)
-    dists = [model.distribution(None, pos) for pos in sequence_positions(70, 60, 1)]
+    dists = [model.distribution(None, step) for step in range(70 * 60)]
     want = step_stats(dists, rep.steps.width_before)
     assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
 
@@ -364,10 +364,10 @@ class TestSteps:
         state, msg = CoderState(prc), BitStream(BitString(b"\x5a\xc3"), 9)
         grid = ImageGrid.blank(W, H, 1)
         records, dists = [], []
-        for pos in sequence_positions(W, H, 1):
-            dists.append(MODEL.distribution(grid, pos))
+        for step in range(W * H):
+            dists.append(MODEL.distribution(grid, step))
             value, s, q_width, width = embed_step(state, dists[-1], msg)
-            grid.data[pos.index] = value
+            grid.data[step] = value
             records.append(StepRecord(value, s, q_width, width))
         assert rep.steps.dtype.names == StepRecord._fields
         assert np.isnan(embed(collect=False, prc=prc)[1].steps[list(STATS)].tolist()).all()
@@ -400,7 +400,7 @@ class TestSteps:
 
         def asking(model):
             ask = model.distribution
-            model.distribution = lambda grid, pos: asked.append(pos.index) or ask(grid, pos)
+            model.distribution = lambda grid, step: asked.append(step) or ask(grid, step)
             return model
 
         monkeypatch.setattr(coder, "step_stats", counted)
@@ -437,7 +437,7 @@ class TestSteps:
         real = coder.step_stats
         monkeypatch.setattr(coder, "step_stats", lambda *a: calls.append(a) or real(*a))
         _, rep = embed(collect=True)
-        dists = [MODEL.distribution(None, pos) for pos in sequence_positions(W, H, 1)]
+        dists = [MODEL.distribution(None, step) for step in range(W * H)]
         want = real(dists, rep.steps.width_before)
         assert len(calls) == 1
         assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
@@ -448,7 +448,7 @@ class TestSteps:
         table = np.random.default_rng(w).integers(1, 1 << 12, (w * h * c, 256))
         model, seen = StreamModel(table), []
         ask = model.distribution
-        model.distribution = lambda grid, pos: seen.append(ask(grid, pos)) or seen[-1]
+        model.distribution = lambda grid, step: seen.append(ask(grid, step)) or seen[-1]
         _, rep = embed_image(model, w, h, c, b"", framed=False, pad_seed=5, collect=True)
         got = np.column_stack([rep.steps[name] for name in STATS])
         assert not np.isnan(got).any()

@@ -37,7 +37,7 @@ from stegosampler.models import (
     train_context_model,
     weights_from_floats,
 )
-from stegosampler.pnm import ImageGrid, SequencePosition, sequence_positions
+from stegosampler.pnm import ImageGrid
 
 
 def gray(rows):
@@ -45,33 +45,30 @@ def gray(rows):
     return ImageGrid(w, h, 1, bytearray(v for row in rows for v in row))
 
 
-POS0 = SequencePosition(0, 0, 0, 0)
-
-
 def context_query(left: int, up: int, buckets: int):
-    """(prefix, pos) whose gray context is (left, up); bucket index `buckets` is the edge."""
+    """(prefix, step) whose gray context is (left, up); bucket index `buckets` is the edge."""
     prefix = gray([[0, 0], [0, 0]])
     row, col = int(up != buckets), int(left != buckets)
     if left != buckets:
         prefix.data[2 * row] = (left * 256 + buckets - 1) // buckets
     if up != buckets:
         prefix.data[col] = (up * 256 + buckets - 1) // buckets
-    return prefix, SequencePosition(2 * row + col, row, col, 0)
+    return prefix, 2 * row + col
 
 
 class TestDistribution:
     def test_uniform(self):
-        d = UniformModel().distribution(None, POS0)
+        d = UniformModel().distribution(None, 0)
         assert d.total == 256
         assert (d.weights == 1).all()
 
     def test_degenerate(self):
-        d = DegenerateModel(7).distribution(None, POS0)
+        d = DegenerateModel(7).distribution(None, 0)
         assert d.weights[7] == 1 and d.total == 1
 
     def test_context_trained_on_zero_image(self):
         model = train_context_model([gray([[0, 0], [0, 0]])])
-        d = model.distribution(gray([[0, 0], [0, 0]]), POS0)
+        d = model.distribution(gray([[0, 0], [0, 0]]), 0)
         assert d.weights[0] == 2
         assert (d.weights[1:] == 1).all()
         assert d.total == 257
@@ -135,8 +132,8 @@ class TestTraining:
         model = train_context_model(images, buckets=5)
         rows = model.counts.reshape(-1, 256)
         for img in images:
-            for pos in sequence_positions(img.width, img.height, channels):
-                assert rows[model.context_of(img, pos), img.data[pos.index]] > 0, pos
+            for step in range(img.steps):
+                assert rows[model.context_of(img, step), img.data[step]] > 0, step
 
     def test_invalid_context_raises_when_asked_for(self):
         model = train_context_model([gray([[0, 0], [0, 0]])], smooth=0)
@@ -268,10 +265,10 @@ class TestStream:
         table = np.arange(2 * 256).reshape(2, 256) % 7 + 1
         model = load_stream(save_stream(table, None))
         assert model.steps == 2
-        d = model.distribution(None, SequencePosition(1, 0, 1, 0))
+        d = model.distribution(None, 1)
         assert (d.weights == table[1]).all()
         with pytest.raises(StreamExhausted):
-            model.distribution(None, SequencePosition(2, 0, 2, 0))
+            model.distribution(None, 2)
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
@@ -339,7 +336,7 @@ class TestStream:
         states = [CoderState(8), CoderState(26, low=12345, high=(1 << 26) - 7), CoderState(62)]
         past_int64 = {state.prc: 0 for state in states}  # steps tiled in Python ints
         for step in range(600):
-            got = model.distribution(None, SequencePosition(step, 0, step, 0))
+            got = model.distribution(None, step)
             want = PixelDistribution(table[step])
             assert (got.total, got.top) == (want.total, want.top)
             assert type(got.top) is int and got.top == got.run_w[0]
@@ -375,9 +372,9 @@ class TestStream:
         table[280] = 0
         model = StreamModel(table)
         for step in range(280):
-            model.distribution(None, SequencePosition(step, 0, step, 0))
+            model.distribution(None, step)
         with pytest.raises(NotADistribution, match="total 0"):
-            model.distribution(None, SequencePosition(280, 0, 280, 0))
+            model.distribution(None, 280)
 
     def test_load_rejects_all_zero_step(self):
         table = np.ones((3, 256), dtype=np.int64)
@@ -433,19 +430,18 @@ def test_causality(bundle, data):
     model, img = bundle
     steps = img.width * img.height
     idx = data.draw(st.integers(0, steps - 1))
-    pos = list(sequence_positions(img.width, img.height, 1))[idx]
-    before = model.distribution(img, pos).weights.copy()
+    before = model.distribution(img, idx).weights.copy()
     mutate_at = data.draw(st.integers(idx, steps - 1))
     img.data[mutate_at] = data.draw(st.integers(0, 255))
-    assert (model.distribution(img, pos).weights == before).all()
+    assert (model.distribution(img, idx).weights == before).all()
 
 
 @settings(max_examples=20)
 @given(trained_model_and_image())
 def test_smoothing_floor(bundle):
     model, img = bundle
-    for pos in sequence_positions(img.width, img.height, 1):
-        d = model.distribution(img, pos)
+    for step in range(img.steps):
+        d = model.distribution(img, step)
         assert d.weights.min() >= 1
         assert d.total == d.weights.sum()
 
@@ -534,7 +530,7 @@ def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
     if dist.top > 1:  # a top weight of 1 keeps every product at prc 62 within int64
         if dist.runs is None:
             codes_by_rank_past_int64(dist, pixel)
-        codes_by_rank_past_int64(StreamModel(weights[None]).distribution(None, POS0), pixel)
+        codes_by_rank_past_int64(StreamModel(weights[None]).distribution(None, 0), pixel)
 
 
 def test_all_ranks_is_a_read_only_identity_that_numpy_reads_in_place():
@@ -556,7 +552,7 @@ def test_sorted_contexts_stay_compact():
     model = train_context_model(noise_corpus(100, 32, 32, 3, seed=3), buckets=4)
     tracemalloc.start()
     try:
-        model.distribution(ImageGrid.blank(1, 1, 3), POS0)  # sorts every context
+        model.distribution(ImageGrid.blank(1, 1, 3), 0)  # sorts every context
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -595,7 +591,7 @@ def image_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(image_stacks())
 def test_context_rows_is_context_of_everywhere(bundle):
-    """The array form of the context rule gives context_of at every position, and training a
+    """The array form of the context rule gives context_of at every step, and training a
     corpus of mixed shapes counts what context_of reads, and what training each image alone
     counts. Training runs at 16 buckets at most: at 255, every context an image touches maps a
     page of a 400 MB table."""
@@ -605,14 +601,12 @@ def test_context_rows_is_context_of_everywhere(bundle):
         vals = np.frombuffer(img.data, dtype=np.uint8).reshape(1, img.height, img.width, -1)
         rows = model.context_rows(vals)
         assert rows.dtype == np.uint32
-        assert rows.ravel().tolist() == [
-            model.context_of(img, pos)
-            for pos in sequence_positions(img.width, img.height, img.channels)]
+        assert rows.ravel().tolist() == [model.context_of(img, step) for step in range(img.steps)]
     model = train_context_model(images, min(buckets, 16))
     want = np.zeros_like(model.counts).reshape(-1, 256)
     for img in images:
-        for pos in sequence_positions(img.width, img.height, img.channels):
-            want[model.context_of(img, pos), img.data[pos.index]] += 1
+        for step in range(img.steps):
+            want[model.context_of(img, step), img.data[step]] += 1
     assert np.array_equal(model.counts.reshape(-1, 256), want)
     alone = sum(train_context_model([img], model.buckets).counts for img in images)
     assert np.array_equal(model.counts, alone)
@@ -620,7 +614,7 @@ def test_context_rows_is_context_of_everywhere(bundle):
 
 WHOLE_NUMBER_BUILDERS = {
     "distribution": lambda w: PixelDistribution(np.full(256, w)).weights,
-    "stream": lambda w: StreamModel(np.full((4, 256), w)).distribution(None, POS0).weights,
+    "stream": lambda w: StreamModel(np.full((4, 256), w)).distribution(None, 0).weights,
     "context counts": lambda w: ContextModel(1, 4, counts=np.full((1, 5, 5, 256), w)).counts,
     "saved stream": lambda w: load_stream(save_stream(np.full((4, 256), w), None)).table,
 }
@@ -664,7 +658,7 @@ def test_stream_of_int_objects_codes_and_names_a_weight_past_int64():
     """A stream table of Python ints codes as its int64 copy would; a row holding an int past
     int64 is refused, at its own step, for what it is."""
     table = np.array([[5] * 256, [1 << 64] + [1] * 255, [3] * 256], dtype=object)
-    assert StreamModel(table).distribution(None, POS0).total == 5 * 256
+    assert StreamModel(table).distribution(None, 0).total == 5 * 256
     with pytest.raises(NotADistribution, match=rf"^step 1 .* weight {1 << 64} of value 0 is not"):
         coder.embed_image(StreamModel(table), 3, 1, 1, b"", framed=False, pad_seed=0)
     table[1] = 4

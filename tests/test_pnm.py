@@ -8,10 +8,8 @@ from stegosampler.pnm import (
     BadMagic,
     ImageGrid,
     MaxvalUnsupported,
-    SequencePosition,
     ShortData,
     read_image,
-    sequence_positions,
     write_image,
 )
 
@@ -112,38 +110,6 @@ class TestWrite:
         path = tmp_path / "x.ppm"
         write_image(g, path)
         assert read_image(path).data == g.data
-
-
-class TestSequence:
-    def test_gray_row(self):
-        pos = list(sequence_positions(2, 1, 1))
-        assert [(p.row, p.col, p.channel) for p in pos] == [(0, 0, 0), (0, 1, 0)]
-
-    def test_rgb_interleave(self):
-        pos = list(sequence_positions(1, 1, 3))
-        assert [(p.row, p.col, p.channel) for p in pos] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
-
-    @pytest.mark.parametrize(
-        "shape", [(1, 1, 1), (5, 3, 3), (7, 2, 3), (28, 28, 1)], ids=lambda s: "x".join(map(str, s)))
-    def test_matches_nested_loops(self, shape):
-        width, height, channels = shape
-        want = []
-        for row in range(height):
-            for col in range(width):
-                for ch in range(channels):
-                    want.append((len(want), row, col, ch))
-        got = sequence_positions(*shape)
-        assert iter(got) is got
-        items = list(got)
-        assert items == want and all(type(p) is SequencePosition for p in items)
-        assert [p.index for p in items] == [p[0] for p in items]
-        assert list(got) == []  # spent, and the next call starts afresh
-        assert list(sequence_positions(*shape)) == want
-
-    def test_bijection_28x28(self):
-        pos = list(sequence_positions(28, 28, 1))
-        assert [p.index for p in pos] == list(range(784))
-        assert (pos[-1].row, pos[-1].col) == (27, 27)
 
 
 @given(

@@ -35,12 +35,18 @@ def test_make_corpus_writes_the_stroke_corpus(tmp_path, rgb):
     assert len(os.listdir(tmp_path / "c")) == 3
 
 
-@pytest.mark.parametrize("arg, value, message", [
-    ("--count", "-3", "count must not be negative, got -3"),
-    ("--width", "0", "image dimensions must be positive"),
-], ids=["count", "width"])
-def test_make_corpus_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, message):
-    out, err = run_script("make_corpus.py", "--out", "c", arg, value, cwd=tmp_path, code=2)
+# a 10^8 x 10^8 image is refused at once: bytearray(10^16) raises without allocating
+OVERSIZE = ["--width", "100000000", "--height", "100000000"]
+NO_MEMORY = "no memory for the 10000000000000000 bytes of a 100000000x100000000x1 image"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "-3"], "count must not be negative, got -3"),
+    (["--width", "0"], "image dimensions must be positive"),
+    (OVERSIZE, NO_MEMORY),
+], ids=["count", "width", "oversize"])
+def test_make_corpus_refuses_a_bad_argument_in_one_line(tmp_path, args, message):
+    out, err = run_script("make_corpus.py", "--out", "c", *args, cwd=tmp_path, code=2)
     assert out == [] and err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "c").exists()
 
@@ -51,7 +57,8 @@ def test_make_corpus_refuses_a_bad_argument_in_one_line(tmp_path, arg, value, me
     (["--width", "0"], "image dimensions must be positive"),
     (["--prc", "7", "--width", "0"], "prc 7 outside [8, 62]"),
     (["--buckets", "256", "--width", "0"], "buckets 256 outside 0..255"),
-], ids=["count", "width", "prc", "buckets"])
+    (OVERSIZE, NO_MEMORY),
+], ids=["count", "width", "prc", "buckets", "oversize"])
 def test_run_desk_eval_refuses_a_bad_argument_in_one_line(tmp_path, args, message):
     out, err = run_script("run_desk_eval.py", "--corpus-size", "20", *args, cwd=tmp_path, code=2)
     assert out == [] and err.splitlines() == [f"error: {message}"]  # no `trained on` line
