@@ -6,17 +6,17 @@ with the arithmetic-coding sampler and with the LSB rejection baseline, and
 prints mean +/- std for ER and for the distortion between the effective
 sampling distribution q and the model distribution p.
 
-A bad argument, an image too large to allocate or an unwritable output ends in one `error:`
-line and exit code 2, through the stegosampler CLI's mapping of errors to exit codes, and the
-three outputs are written all or none, as `stegosampler analyze` writes them.
+The sampler half is `cli.analyze`, the pipeline of `stegosampler analyze`: image i uses pad
+seed seed*1000 + i, and the CSV and both maps are written all or none, before the LSB half
+runs. A bad argument, an image too large to allocate or an unwritable output ends in one
+`error:` line and exit code 2, through the stegosampler CLI's mapping of errors to exit codes.
 """
 import argparse
-import io
 import time
 
 import numpy as np
 
-from stegosampler import cli, coder, corpus, metrics, models, pnm
+from stegosampler import cli, coder, corpus, metrics, models
 
 
 def lsb_step_kld(dist, bit):
@@ -44,8 +44,7 @@ def main() -> int:
 
 def evaluate(args) -> int:
     # refused before the corpus is drawn and the model trained
-    if args.count < 1:
-        raise ValueError(f"count must be at least 1, got {args.count}")
+    cli.check_count(args.count)
     coder.check_prc(args.prc)
     models.check_buckets(args.buckets)
     t0 = time.perf_counter()
@@ -55,14 +54,10 @@ def evaluate(args) -> int:
     model = models.train_context_model(strokes, buckets=args.buckets)
     print(f"trained on {len(strokes)} stroke images in {time.perf_counter() - t0:.1f}s")
 
-    reports = []
-    for i in range(args.count):
-        _, rep = coder.embed_image(
-            model, args.width, args.height, 1, b"",
-            prc=args.prc, framed=False, pad_seed=args.seed * 1000 + i, collect=True,
-        )
-        reports.append(rep)
-    summary = metrics.aggregate(reports)
+    paths = (args.out_csv, args.out_entropy_map, args.out_bits_map)
+    reports, summary = cli.analyze(
+        model, args.width, args.height, 1, args.count, args.prc, args.seed * 1000, paths
+    )
     print("arithmetic-coding sampler:")
     print(f"  ER   {summary['er_pixel'][0]:.4f} +/- {summary['er_pixel'][1]:.4f} bpp")
     print(f"  KLD  {summary['kld'][0]:.4e} +/- {summary['kld'][1]:.4e} bit")
@@ -88,14 +83,6 @@ def evaluate(args) -> int:
     print(f"  ER   {er[0]:.4f} +/- {er[1]:.4f} bits/step")
     print(f"  KLD  {kld[0]:.4e} +/- {kld[1]:.4e} bit")
 
-    csv_sink = io.BytesIO()
-    metrics.write_csv(reports, [f"img_{i:04d}" for i in range(args.count)], csv_sink)
-    ent_map, bits_map = metrics.heatmaps(reports)
-    cli._write_all([
-        (args.out_csv, csv_sink.getvalue()),
-        (args.out_entropy_map, pnm.write_image(ent_map)),
-        (args.out_bits_map, pnm.write_image(bits_map)),
-    ])
     h_q = metrics.position_means(reports, "h_q")
     bits = metrics.position_means(reports, "bits_confirmed")
     print(f"entropy/bits position correlation: {np.corrcoef(h_q, bits)[0, 1]:.3f}")

@@ -11,7 +11,6 @@ Exit codes, each with one `error:` line on stderr (5 with a `selftest:` line):
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
@@ -154,9 +153,7 @@ def cmd_embed(args) -> int:
     )
     outputs = [(args.out, pnm.write_image(grid))]
     if args.report:
-        csv_sink = io.BytesIO()
-        metrics.write_csv([report], [args.out], csv_sink)
-        outputs.append((args.report, csv_sink.getvalue()))
+        outputs.append((args.report, metrics.write_csv([report], [args.out])))
     _write_all(outputs)
     print(
         f"pad seed {seed}; confirmed {report.bits_confirmed} bits; "
@@ -174,29 +171,37 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count {args.count}: need at least one image")
-    model = _load_model(args)
-    channels = 3 if args.rgb else 1
+def check_count(count: int) -> None:
+    """Refuse an analysis of no images, which has no mean to report."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+
+
+def analyze(model, width: int, height: int, channels: int, count: int, prc: int,
+            first_seed: int, paths) -> tuple[list[metrics.EmbedReport], dict]:
+    """Embed `count` images with stats, image i (named img_%04d) from pad seed first_seed + i,
+    and write their CSV, entropy map and bits map to the three `paths`, all or none. Returns
+    the reports and their summary, as `metrics.aggregate`."""
+    check_count(count)
     # empty raw payload: every embedded bit comes from the seeded padding
     # generator, i.e. a fresh uniformly random message per image
     reports = [
         coder.embed_image(
-            model, args.width, args.height, channels, b"", prc=args.prc,
-            framed=False, pad_seed=args.seed + i, collect=True,
+            model, width, height, channels, b"", prc=prc,
+            framed=False, pad_seed=first_seed + i, collect=True,
         )[1]
-        for i in range(args.count)
+        for i in range(count)
     ]
-    names = [f"img_{i:04d}" for i in range(args.count)]
-    ent_map, bits_map = metrics.heatmaps(reports)
-    csv_sink = io.BytesIO()
-    summary = metrics.write_csv(reports, names, csv_sink)
-    _write_all([
-        (args.out_csv, csv_sink.getvalue()),
-        (args.out_entropy_map, pnm.write_image(ent_map)),
-        (args.out_bits_map, pnm.write_image(bits_map)),
-    ])
+    names = [f"img_{i:04d}" for i in range(count)]
+    blobs = [metrics.write_csv(reports, names), *map(pnm.write_image, metrics.heatmaps(reports))]
+    _write_all(list(zip(paths, blobs, strict=True)))
+    return reports, metrics.aggregate(reports)
+
+
+def cmd_analyze(args) -> int:
+    paths = (args.out_csv, args.out_entropy_map, args.out_bits_map)
+    _, summary = analyze(_load_model(args), args.width, args.height, 3 if args.rgb else 1,
+                         args.count, args.prc, args.seed, paths)
     for key, (mean, std) in summary.items():
         print(f"{key}: {mean:.4f} +/- {std:.4f}")
     return 0

@@ -108,15 +108,13 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
     """
     width = state.width
     runs = dist.runs
-    if runs is None:
-        if width * dist.top <= INT64_MAX:
-            ends = (width * dist.run_w // dist.total).cumsum().data
-            return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))
-        runs = zip(dist.run_w.tolist(), repeat(1))
-    total, end, ends = dist.total, 0, []
-    for w, n in runs:
-        end += width * w // total * n
-        ends.append(end)
+    if runs is None and width * dist.top <= INT64_MAX:
+        ends = (width * dist.run_w // dist.total).cumsum().data
+    else:
+        total, end, ends = dist.total, 0, []
+        for w, n in runs or zip(dist.run_w.tolist(), repeat(1)):
+            end += width * w // total * n
+            ends.append(end)
     return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))
 
 
@@ -185,12 +183,6 @@ def check_prc(prc: int) -> None:
         raise ValueError(f"prc {prc} outside [{PRC_MIN}, {PRC_MAX}]")
 
 
-def _check_run(model, channels: int, prc: int) -> None:
-    """Embed and extract checks, run once before the first step."""
-    check_prc(prc)
-    _check_channels(model, channels)
-
-
 def _check_channels(model, channels: int) -> None:
     """Models without a channel count (fixed, stream) serve any image."""
     trained = getattr(model, "channels", channels)
@@ -212,7 +204,7 @@ def _fill_stats(steps: np.ndarray, dists: Iterator[PixelDistribution]) -> None:
     call takes a whole desk image and 256 steps of a stream."""
     first = 0
     for dist in dists:
-        held = [dist, *islice(dists, STATS_CELLS // len(dist.runs or dist.run_w) - 1)]
+        held = [dist, *islice(dists, STATS_CELLS // (len(dist.run_start) - 1) - 1)]
         rows = steps[first : first + len(held)]
         for name, col in zip(STATS, step_stats(held, rows["width_before"]).T):
             rows[name] = col
@@ -230,7 +222,8 @@ def embed_image(
     pad_seed: int | None = None,
     collect: bool = True,
 ) -> tuple[ImageGrid, EmbedReport]:
-    _check_run(model, channels, prc)
+    check_prc(prc)
+    _check_channels(model, channels)
     bits = frame_encode(message) if framed else BitString(message)
     msg = BitStream(bits, pad_seed)
     state = CoderState(prc)
@@ -262,7 +255,8 @@ def embed_image(
 
 
 def extract_bits(model, image: ImageGrid, prc: int = DEFAULT_PRC) -> BitString:
-    _check_run(model, image.channels, prc)
+    check_prc(prc)
+    _check_channels(model, image.channels)
     state = CoderState(prc)
     out = BitString()
     step = 0  # the step reached, which a failure names

@@ -46,7 +46,7 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     ids = np.fromiter(map(id, dists), np.uintp, len(dists))
     _, first, row = np.unique(ids, return_index=True, return_inverse=True)
     uniq = [dists[i] for i in first]
-    runs = max(len(d.runs or d.run_w) for d in uniq)
+    runs = max(len(d.run_start) - 1 for d in uniq)
     per = STATS_CELLS // runs
     if len(dists) > per:
         out = np.empty((len(dists), 4))
@@ -171,8 +171,9 @@ def aggregate(reports: Sequence[EmbedReport]) -> dict[str, tuple[float, float]]:
     return _summary([rep.row("") for rep in reports])
 
 
-def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> dict:
-    """Detail row per image plus mean and std summary rows; returns the summary, as `aggregate`."""
+def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink=None) -> bytes:
+    """Detail row per image plus mean and std summary rows, written to a binary file object or
+    a path (None: nowhere); returns the CSV bytes."""
     detail = [rep.row(name) for name, rep in zip(names, reports, strict=True)]
     summary = _summary(detail)
     rows = [CSV_HEADER, *detail]
@@ -180,8 +181,7 @@ def write_csv(reports: Sequence[EmbedReport], names: Sequence[str], sink) -> dic
         rows.append([label, "", ""] + [summary[k][i] for k in CSV_HEADER[3:]])
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    write_bytes(text.getvalue().encode(), sink)
-    return summary
+    return write_bytes(text.getvalue().encode(), sink)
 
 
 def _scale_to_bytes(field_: np.ndarray) -> bytearray:

@@ -292,6 +292,7 @@ PROBE_NAMES = {
     "analyze-csv-and-entropy-map-one-path": "two outputs on one path: {d}/a.csv {d}/./a.csv",
     "embed-2^32-square": "a 4294967296x4294967296x1 image needs 18446744073709551616 bytes",
     "analyze-2^32-square": "a 4294967296x4294967296x1 image needs 18446744073709551616 bytes",
+    "analyze-count-0": "count must be at least 1, got 0",  # as scripts/run_desk_eval.py says
 }
 PROBE_LEAVES_NO = {
     "embed-report-missing-dir": ["{d}/s.pgm"],

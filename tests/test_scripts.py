@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import stegosampler
-from stegosampler import corpus, pnm
+from stegosampler import cli, corpus, models, pnm
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -103,3 +103,21 @@ def test_run_desk_eval_of_one_image_has_no_spread(tmp_path):
         out[7].split(" +/- ")[0] + " +/- 0.0000e+00 bit",
     ]
     assert out[2].endswith(" +/- 0.0000 bpp")
+
+
+def test_run_desk_eval_writes_what_stegosampler_analyze_writes(tmp_path):
+    """The script's sampler half is `stegosampler analyze` on the script's model, with pad
+    seeds seed*1000 + i: the same CSV and maps, byte for byte."""
+    run_script("run_desk_eval.py", "--count", "3", "--corpus-size", "20", cwd=tmp_path)
+    model = models.train_context_model(corpus.stroke_corpus(20, 28, 28, 1, seed=11), buckets=4)
+    models.save_model(model, str(tmp_path / "m.pscm"))
+    names = ["desk_eval.csv", "entropy_map.pgm", "bits_map.pgm"]
+    (tmp_path / "cli").mkdir()
+    flags = ["--out-csv", "--out-entropy-map", "--out-bits-map"]
+    argv = ["analyze", "--model", str(tmp_path / "m.pscm"), "--count", "3", "--width", "28",
+            "--height", "28", "--seed", "11000"]
+    for flag, name in zip(flags, names):
+        argv += [flag, str(tmp_path / "cli" / name)]
+    assert cli.main(argv) == 0
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
