@@ -5,6 +5,7 @@ import math
 import numbers
 import struct
 from array import array
+from operator import sub
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -167,22 +168,16 @@ def _run_layout(sw: np.ndarray, order: np.ndarray) -> list[tuple]:
     MANY_RUNS, its sorted weights copied so that the row views none of the table."""
     edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
-    runs = edge.sum(axis=1) - 1
-    kept = np.flatnonzero(runs <= MANY_RUNS)  # the rows stored as runs of equal weight
-    run_start = np.where(edge[kept], np.arange(257), 256)
-    run_start.sort(axis=1)  # a row's run starts, then 256 to the end of the row
-    run_w = sw[kept[:, None], run_start[:, :256] & 255]  # past a row's runs: sw[0], unused
-    run_len = run_start[:, 1:] - run_start[:, :-1]
-    run_of = edge[kept, :256].cumsum(axis=1, dtype=np.uint8) - 1  # the run of each rank
-    kept_rows = iter(zip(run_start.astype("H"), run_w, run_len, run_of))
+    # the run of each rank; it wraps in a row of 256 runs, which never reads it
+    run_of = edge[:, :256].cumsum(axis=1, dtype=np.uint8) - 1
     out = []
-    for row, o, r in zip(sw, order, runs.tolist()):
-        if r > MANY_RUNS:
+    for row, o, e, of in zip(sw, order, edge, run_of):
+        start = e.nonzero()[0].tolist()  # each run's first rank, then 256
+        if len(start) > MANY_RUNS + 1:
             out.append((o.tobytes(), ALL_RANKS, row.copy(), None, ALL_RANKS))
             continue
-        start, rw, rl, of = next(kept_rows)
-        out.append((o.tobytes(), array("H", start[: r + 1].tobytes()), None,
-                    tuple(zip(rw[:r].tolist(), rl[:r].tolist())), array("B", of.tobytes())))
+        runs = tuple(zip(row[start[:-1]].tolist(), map(sub, start[1:], start)))
+        out.append((o.tobytes(), array("H", start), None, runs, array("B", of.tobytes())))
     return out
 
 
@@ -232,35 +227,32 @@ class StreamModel:
         return self.table.shape[0]
 
     def distribution(self, prefix, step: int) -> PixelDistribution:
+        return self._at(step)
+
+    def image_distributions(self, image: ImageGrid) -> Iterator[PixelDistribution]:
+        """The distribution of every step of an image, in coding order, read as lookups are."""
+        self._chunk = []  # a gather builds every chunk it reads, as a fresh model's does
+        return map(self._at, range(image.steps))
+
+    def _at(self, step: int) -> PixelDistribution:
+        """The distribution of `step`, from the held chunk, or from the next STREAM_CHUNK steps
+        built in its place. A step whose weights are no distribution raises only when asked
+        for, and so does the first step past the end of the stream."""
         i = step - self._first
         if not 0 <= i < len(self._chunk):
             self._chunk = []  # the old chunk goes before the next is built
-            self._chunk = self._build(step, step + STREAM_CHUNK)
+            self._chunk = self._build(step)
             self._first, i = step, 0
-        # a step whose weights are no distribution raises only when asked for
         return self._chunk[i] or PixelDistribution(self.table[step])
 
-    def image_distributions(self, image: ImageGrid) -> Iterator[PixelDistribution]:
-        """The distribution of every step of an image, in coding order: one chunk built at a
-        time, then one list item per step. As in `distribution`, a step whose weights are no
-        distribution raises only when it is reached, and so does the first step past the end
-        of a stream shorter than the image."""
-        self._chunk = []  # the lookups' chunk goes: a gather builds its own
-        first = 0
-        while first < image.steps:
-            chunk = self._build(first, min(first + STREAM_CHUNK, image.steps))
-            for step, dist in enumerate(chunk, first):
-                yield dist or PixelDistribution(self.table[step])
-            first += len(chunk)  # past the end of the stream, the next build raises
-
-    def _build(self, first: int, stop: int) -> list[PixelDistribution | None]:
-        """The distributions of steps first up to stop, or to the end of the stream, sorted in
-        one pass; None for a step whose weights are no distribution. A row serves one step, so
+    def _build(self, first: int) -> list[PixelDistribution | None]:
+        """The distributions of STREAM_CHUNK steps from first, or to the end of the stream,
+        sorted in one pass; None for a step whose weights are no distribution. A row serves one step, so
         it is stored one symbol per run, whatever its run count: run_w is its row of the sorted
         chunk, and order its 256 bytes of the chunk's order."""
         if first >= self.steps:
             raise StreamExhausted(f"stream has {self.steps} steps, step {first} requested")
-        w = _int64(self.table[first:stop])
+        w = _int64(self.table[first : first + STREAM_CHUNK])
         totals, tops, valid, sw, order = _sort_rows(w)
         orders = order.tobytes()
         rows = zip(w, totals, tops, valid, sw, range(0, len(orders), 256))

@@ -250,7 +250,7 @@ def test_stats_chunks_stay_within_their_cells(plan, seed):
     real = metrics.step_stats
 
     def traced(dists, widths):
-        runs = max((len(d.runs or d.run_w) for d in dists), default=0)
+        runs = max((len(d.run_start) - 1 for d in dists), default=0)
         calls.append((depth[0], len(dists), runs))
         depth[0] += 1
         try:

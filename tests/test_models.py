@@ -1,4 +1,3 @@
-import io
 import re
 import tracemalloc
 from bisect import bisect_right
@@ -20,7 +19,6 @@ from stegosampler.models import (
     CorruptTable,
     DegenerateModel,
     EmptyCorpus,
-    FixedModel,
     MixedChannelCorpus,
     NegativeProbability,
     NotADistribution,
@@ -116,7 +114,7 @@ class TestTraining:
                 assert model.context_of(*query) == left * (B + 1) + up
                 got = model.distribution(*query)
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
-                for field in ("weights", "total", "run_start", "run_w"):
+                for field in ("weights", "total", "run_start", "run_w", "run_of"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
                 assert (got.top, got.order, got.runs) == (want.top, want.order, want.runs)
                 # order is bytes in either layout, and a value's rank is its index there
@@ -375,6 +373,29 @@ class TestStream:
             model.distribution(None, step)
         with pytest.raises(NotADistribution, match="total 0"):
             model.distribution(None, 280)
+
+    def test_one_model_gathers_then_looks_up(self):
+        """A gather and the lookups read one held chunk: lookups after a gather of 3.5 chunks
+        give the rows a fresh model gives."""
+        table = np.random.default_rng(6).integers(1, 1 << 16, (4 * STREAM_CHUNK, 256))
+        model = StreamModel(table)
+        image = ImageGrid.blank(7 * STREAM_CHUNK // 2, 1, 1)
+        assert len(list(model.image_distributions(image))) == image.steps
+        for step in (5, 300, 700):
+            got, want = model.distribution(None, step), StreamModel(table).distribution(None, step)
+            for field in ("weights", "total", "order", "run_w"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
+
+    def test_bad_row_past_the_image_is_never_reached(self):
+        """A gather builds whole chunks, past the image's end on a longer stream: a bad row
+        there is built and never raises, and extract recovers the bits."""
+        table = np.random.default_rng(7).integers(1, 1 << 12, (STREAM_CHUNK, 256))
+        table[100] = 0
+        image, _ = coder.embed_image(StreamModel(table), 6, 4, 3, b"\xa5\x0f", framed=False,
+                                     pad_seed=2, collect=True)
+        assert len(list(StreamModel(table).image_distributions(image))) == 72
+        got = coder.extract_image(StreamModel(table), image, framed=False)
+        assert got[:2] == b"\xa5\x0f"
 
     def test_load_rejects_all_zero_step(self):
         table = np.ones((3, 256), dtype=np.int64)
