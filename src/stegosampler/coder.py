@@ -191,8 +191,8 @@ def _check_channels(model, channels: int) -> None:
 
 
 def _gather(model, image: ImageGrid) -> Iterator[PixelDistribution]:
-    """The distribution of every step of a finished image, in coding order: the model's own
-    gather where it has one, else one lookup per step."""
+    """The distribution of every step of a finished image, in coding order: the gather of a
+    context model, which takes every context at once, else one lookup per step."""
     if hasattr(model, "image_distributions"):
         return model.image_distributions(image)
     return map(model.distribution, repeat(image), range(image.steps))

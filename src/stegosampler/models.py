@@ -210,9 +210,9 @@ class DegenerateModel(FixedModel):
 class StreamModel:
     """Distributions precomputed by an external process, one per step.
 
-    One embed or extract asks for each step once, in order, so distributions
-    are built on request, STREAM_CHUNK steps at a time in one sorting pass,
-    and only the current chunk is kept.
+    Coding, the stats pass and extract each ask for the steps in order, so
+    distributions are built on request, STREAM_CHUNK steps at a time in one
+    sorting pass, and only the current chunk is kept.
     """
 
     def __init__(self, weights_per_step: np.ndarray):
@@ -227,17 +227,9 @@ class StreamModel:
         return self.table.shape[0]
 
     def distribution(self, prefix, step: int) -> PixelDistribution:
-        return self._at(step)
-
-    def image_distributions(self, image: ImageGrid) -> Iterator[PixelDistribution]:
-        """The distribution of every step of an image, in coding order, read as lookups are."""
-        self._chunk = []  # a gather builds every chunk it reads, as a fresh model's does
-        return map(self._at, range(image.steps))
-
-    def _at(self, step: int) -> PixelDistribution:
         """The distribution of `step`, from the held chunk, or from the next STREAM_CHUNK steps
-        built in its place. A step whose weights are no distribution raises only when asked
-        for, and so does the first step past the end of the stream."""
+        built in its place; `prefix` is not read. A step whose weights are no distribution
+        raises only when asked for, and so does the first step past the end of the stream."""
         i = step - self._first
         if not 0 <= i < len(self._chunk):
             self._chunk = []  # the old chunk goes before the next is built
@@ -278,6 +270,8 @@ class ContextModel:
 
     def __init__(self, channels: int, buckets: int = 16, smooth: int = 1, counts=None):
         check_buckets(buckets)
+        if channels not in (1, 3):  # as ImageGrid; the PSCM header stores channels as u8
+            raise ValueError(f"channels {channels} is not 1 or 3")
         if not 0 <= smooth < 1 << 32:  # the PSCM header stores smooth as u32
             raise ValueError(f"smooth {smooth} outside 0..2^32-1")
         self.channels = channels

@@ -5,13 +5,16 @@ its per-step figures divide by the embed_step + extract_step span count. A
 refactor that inlines one of them, or moves it off its owner, would zero a
 traced metric or break that division without failing anything else.
 
-A receiver holds the whole image, so extract gathers every step's
-distribution in one `image_distributions` call, of a context model or a
-stream, and calls the model's `distribution` at no step; every embed still
-looks up one step at a time, and with stats gathers the finished image's
-distributions once more, in one `image_distributions` call. So on all three
-workloads stegobench's `models.distribution_us` and `models.cache_hit_ratio`
-cover the embed's coding lookups only: a gather is no call the tracer wraps.
+A context model computes every context of an image at once, so a receiver,
+which holds the whole image, gathers every step's distribution in one
+`image_distributions` call and calls the model's `distribution` at no step;
+an embed looks up one step at a time, and with stats gathers the finished
+image's distributions once more, in one `image_distributions` call. A stream
+has no gather: it is looked up once per step in extract, and in an embed
+once per step for coding and once more in the stats pass. So stegobench's
+`models.distribution_us` and `models.cache_hit_ratio` cover the embed's
+coding lookups only on the context-model workloads, a gather being no call
+the tracer wraps, and both phases on stream-rgb.
 """
 import importlib.util
 from pathlib import Path
@@ -40,10 +43,8 @@ LOOKUPS = {
         (models.ContextModel, "image_distributions", "extract", 0, 1),
     ],
     "stream": [
-        (models.StreamModel, "distribution", "embed", 1, 0),
-        (models.StreamModel, "distribution", "extract", 0, 0),
-        (models.StreamModel, "image_distributions", "embed", 0, 1),
-        (models.StreamModel, "image_distributions", "extract", 0, 1),
+        (models.StreamModel, "distribution", "embed", 2, 0),  # coding, then the stats pass
+        (models.StreamModel, "distribution", "extract", 1, 0),
     ],
 }
 W, H, C = 6, 5, 3

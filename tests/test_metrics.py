@@ -31,6 +31,7 @@ from stegosampler.metrics import (
 from stegosampler.models import (
     INT64_MAX,
     MANY_RUNS,
+    STREAM_CHUNK,
     FixedModel,
     PixelDistribution,
     StreamModel,
@@ -408,17 +409,14 @@ class TestSteps:
         n = W * H
         narrow = FixedModel(MODEL.distribution(None, None).weights)
         wide = FixedModel(rng.permutation(256) + 1)  # 256 runs, one symbol each
-        for model, want in ((narrow, [(n, 2 * n)]), (wide, [(256, n + 256), (n - 256, 2 * n)])):
+        stream = StreamModel([rng.permutation(256) + 1 for _ in range(n)])
+        chunked = [(256, n + 256), (n - 256, 2 * n)]
+        for model, want in ((narrow, [(n, 2 * n)]), (wide, chunked), (stream, chunked)):
             calls.clear()
             asked.clear()
             embed(collect=True, model=asking(model))
             assert calls == want
             assert asked == [*range(n), *range(n)]  # coding, then the stats pass
-        calls.clear()
-        asked.clear()
-        stream = StreamModel([rng.permutation(256) + 1 for _ in range(n)])
-        embed(collect=True, model=asking(stream))
-        assert calls == [(256, n), (n - 256, n)]  # the stats pass gathers the image at once
         calls.clear()
         embed(collect=False)
         assert calls == []
@@ -452,7 +450,24 @@ class TestSteps:
         _, rep = embed_image(model, w, h, c, b"", framed=False, pad_seed=5, collect=True)
         got = np.column_stack([rep.steps[name] for name in STATS])
         assert not np.isnan(got).any()
-        assert got.tobytes() == step_stats(seen, rep.steps.width_before).tobytes()
+        steps = w * h * c
+        assert len(seen) == 2 * steps  # coding, then the stats pass
+        assert got.tobytes() == step_stats(seen[steps:], rep.steps.width_before).tobytes()
+
+    def test_stats_pass_reuses_the_held_chunk(self):
+        """The stats pass of a one-chunk stream reads the chunk that coding built, and its
+        stats are bit for bit those of a fresh model's lookups."""
+        assert 16 * 16 == STREAM_CHUNK
+        table = np.random.default_rng(8).integers(1, 1 << 12, (STREAM_CHUNK, 256))
+        model, built = StreamModel(table), []
+        build = model._build
+        model._build = lambda first: built.append(first) or build(first)
+        _, rep = embed_image(model, 16, 16, 1, b"", framed=False, pad_seed=6, collect=True)
+        assert built == [0]
+        fresh = StreamModel(table)
+        dists = [fresh.distribution(None, step) for step in range(STREAM_CHUNK)]
+        want = step_stats(dists, rep.steps.width_before)
+        assert np.column_stack([rep.steps[name] for name in STATS]).tobytes() == want.tobytes()
 
     def test_stats_of_a_stream_hold_no_more_as_the_image_grows(self):
         """The stats pass holds one slice of a stream at a time: from 32x32 to 64x64 RGB, its

@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 from bisect import bisect_right
 
@@ -199,6 +200,16 @@ class TestSerialization:
         with pytest.raises(CorruptTable):
             load_model(blob[:-5])
 
+    def test_channels_are_one_or_three(self):
+        """A channel count an image cannot have is refused, in the constructor and so on load,
+        and not by the u8 header field it would overflow."""
+        for channels, buckets in ((0, 1), (2, 4), (256, 1)):
+            with pytest.raises(ValueError, match=f"channels {channels} "):
+                ContextModel(channels, buckets)
+        header = struct.pack("<4sHBBI", b"PSCM", 1, 2, 3, 1)  # 2 channels, 3 buckets
+        with pytest.raises(ValueError, match="channels 2 "):
+            load_model(header + bytes(2 * 4 * 4 * 256 * 8))
+
     def test_file_sink(self, tmp_path):
         model = ContextModel(3, 2)
         path = tmp_path / "m.pscm"
@@ -374,26 +385,25 @@ class TestStream:
         with pytest.raises(NotADistribution, match="total 0"):
             model.distribution(None, 280)
 
-    def test_one_model_gathers_then_looks_up(self):
-        """A gather and the lookups read one held chunk: lookups after a gather of 3.5 chunks
-        give the rows a fresh model gives."""
+    def test_lookups_after_a_pass_match_a_fresh_model(self):
+        """Lookups that go back after a pass over 3.5 chunks, as a second pass over an image
+        does, give the rows a fresh model gives."""
         table = np.random.default_rng(6).integers(1, 1 << 16, (4 * STREAM_CHUNK, 256))
         model = StreamModel(table)
-        image = ImageGrid.blank(7 * STREAM_CHUNK // 2, 1, 1)
-        assert len(list(model.image_distributions(image))) == image.steps
+        for step in range(7 * STREAM_CHUNK // 2):
+            model.distribution(None, step)
         for step in (5, 300, 700):
             got, want = model.distribution(None, step), StreamModel(table).distribution(None, step)
             for field in ("weights", "total", "order", "run_w"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (step, field)
 
     def test_bad_row_past_the_image_is_never_reached(self):
-        """A gather builds whole chunks, past the image's end on a longer stream: a bad row
+        """A lookup builds a whole chunk, past the image's end on a longer stream: a bad row
         there is built and never raises, and extract recovers the bits."""
         table = np.random.default_rng(7).integers(1, 1 << 12, (STREAM_CHUNK, 256))
         table[100] = 0
         image, _ = coder.embed_image(StreamModel(table), 6, 4, 3, b"\xa5\x0f", framed=False,
                                      pad_seed=2, collect=True)
-        assert len(list(StreamModel(table).image_distributions(image))) == 72
         got = coder.extract_image(StreamModel(table), image, framed=False)
         assert got[:2] == b"\xa5\x0f"
 
