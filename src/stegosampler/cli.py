@@ -112,6 +112,8 @@ def _read_corpus(directory: str) -> list[pnm.ImageGrid]:
 
 
 def cmd_train(args) -> int:
+    models.check_buckets(args.buckets)  # refused before any corpus file is read
+    models.check_smooth(args.smooth)
     corpus = _read_corpus(args.corpus)
     model = models.train_context_model(corpus, args.buckets, args.smooth)
     _write_all([(args.out, models.save_model(model, None))])

@@ -77,7 +77,7 @@ class QuantizedPartition(NamedTuple):
     order: Sequence[int]  # permutation of 0..255, weight-descending, ties by value
     run_start: Sequence[int]  # first rank of each run, then 256
     # end of each run before the deficit; ends[-1] + deficit = width. Every item is a Python
-    # int: a list, or a memoryview of the int64 pass's cumsum
+    # int: a list, or a memoryview of the int64 pass's accumulated floors
     ends: Sequence[int]
     width: int
 
@@ -100,19 +100,28 @@ def quantize(dist: PixelDistribution, state: CoderState) -> QuantizedPartition:
 
     Per-symbol widths are floored; the rounding deficit goes to the most
     probable symbol, which therefore always stays selectable. A distribution
-    kept as its runs of equal weight is tiled in exact Python ints, and so is
-    one whose products could pass int64 (width times the top weight above
-    INT64_MAX: high prc, top weights near 2^40). Any other, stored one symbol
-    per run, is tiled in one int64 numpy pass, whose ends are a memoryview of
-    its cumsum. Both give the same ends, and each indexes to Python ints.
+    of at most MANY_RUNS runs, kept as (weight, length) pairs, is tiled in
+    exact Python ints. One kept as int64 arrays is tiled in one int64 numpy
+    pass over its runs, each run's floor times its length where it has
+    lengths, accumulated in place; its ends are a memoryview of that array.
+    Where the products could pass int64 (width times the top weight above
+    INT64_MAX: high prc, top weights near 2^40), the Python-int walk reads the
+    same arrays. Every path gives the same ends, and each indexes to Python
+    ints.
     """
     width = state.width
     runs = dist.runs
     if runs is None and width * dist.top <= INT64_MAX:
-        ends = (width * dist.run_w // dist.total).cumsum().data
+        f = width * dist.run_w // dist.total
+        if dist.run_len is not None:
+            f *= dist.run_len
+        ends = np.add.accumulate(f, out=f).data
     else:
+        if runs is None:
+            n = repeat(1) if dist.run_len is None else dist.run_len.tolist()
+            runs = zip(dist.run_w.tolist(), n)
         total, end, ends = dist.total, 0, []
-        for w, n in runs or zip(dist.run_w.tolist(), repeat(1)):
+        for w, n in runs:
             end += width * w // total * n
             ends.append(end)
     return tuple.__new__(QuantizedPartition, (dist.order, dist.run_start, ends, width))

@@ -56,7 +56,10 @@ def step_stats(dists: Sequence[PixelDistribution], width_before: np.ndarray) -> 
     vals = np.zeros((len(uniq), runs), dtype=np.int64)
     mult = np.zeros((len(uniq), runs), dtype=np.int64)
     for j, d in enumerate(uniq):
-        w, n = (d.run_w, 1) if d.runs is None else zip(*d.runs)
+        if d.runs is None:
+            w, n = d.run_w, 1 if d.run_len is None else d.run_len
+        else:
+            w, n = zip(*d.runs)
         vals[j, : len(w)] = w
         mult[j, : len(w)] = n
     total = np.array([d.total for d in uniq])

@@ -5,7 +5,6 @@ import math
 import numbers
 import struct
 from array import array
-from operator import sub
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -23,11 +22,13 @@ STREAM_MAGIC = b"PSDS"
 MODEL_HEADER = "<HBBI"  # version, channels, buckets, smooth
 STREAM_HEADER = "<HI"  # version, steps
 STREAM_CHUNK = 256  # stream steps whose distributions are built in one pass
-# Above MANY_RUNS runs of equal weight, a context's row is stored one symbol per run: the run
-# bookkeeping then costs its embed step no less than it saves. A stream's row serves one step,
-# too few to win back the pass over its chunk that finds the runs, so it is always stored so.
-MANY_RUNS = 64
-# run_start and run_of of every distribution stored one symbol per run, 256 runs of one: a
+# A context's row of more than MANY_RUNS runs of equal weight keeps its runs as int64 arrays,
+# which one numpy pass tiles: past this many runs the pass costs a coding step less than the
+# Python-int walk over (weight, length) pairs, averaged over embed and extract at prc 26 and
+# 40 (README gives the measured crossover). A stream's row serves one step, too few to win
+# back the pass over its chunk that finds the runs, so it is always stored one symbol per run.
+MANY_RUNS = 22
+# run_start and run_of of every stream row, stored one symbol per run, 256 runs of one: a
 # read-only view that indexes to Python ints and that numpy reads without a copy
 ALL_RANKS = np.arange(257).data.toreadonly()
 
@@ -74,21 +75,25 @@ class PixelDistribution:
     - at most MANY_RUNS runs of equal weight, for a distribution that serves
       many steps, as a context's does: runs holds each run's (weight, length)
       as a pair of Python ints, run_start and run_of, the run of each rank,
-      are `array.array` rows, and run_w is None;
-    - more, or any number for a distribution that serves one step, as a
-      stream's does: one run per symbol, so run_w is the sorted weights,
-      run_start and run_of are both the shared ALL_RANKS, and runs is None.
+      are `array.array` rows, and run_w and run_len are None;
+    - more: run_w and run_len hold each run's weight and length as int64
+      arrays, run_start and run_of are `array.array` rows as above, and runs
+      is None. A distribution that serves one step, as a stream's does, takes
+      this layout whatever its run count, one symbol per run: run_w is its
+      sorted weights, run_len is None, as every run is of one, and run_start
+      and run_of are both the shared ALL_RANKS.
 
     Either way a coding step reads the same fields, and each lookup gives a
     Python int.
     """
 
-    __slots__ = ("weights", "total", "top", "order", "run_start", "run_w", "runs", "run_of")
+    __slots__ = ("weights", "total", "top", "order", "run_start", "run_w", "run_len", "runs",
+                 "run_of")
 
     def __init__(self, weights, sorted_row=None):
         """`sorted_row` is what a caller that sorted a whole table at once derived for these
-        weights: (total, top, order, run_start, run_w, runs, run_of). Without it the weights,
-        which must be whole numbers, are sorted here and laid out as a context's."""
+        weights: (total, top, order, run_start, run_w, run_len, runs, run_of). Without it the
+        weights, which must be whole numbers, are sorted here and laid out as a context's."""
         if sorted_row is None:
             given = _integral(weights, "weights")
             weights = _int64(given)
@@ -97,7 +102,7 @@ class PixelDistribution:
                 raise _not_a_distribution(list(map(int, given.tolist())))
             sorted_row = (total, top, *_run_layout(sw, order)[0])
         self.weights = weights
-        (self.total, self.top, self.order, self.run_start, self.run_w, self.runs,
+        (self.total, self.top, self.order, self.run_start, self.run_w, self.run_len, self.runs,
          self.run_of) = sorted_row
 
 
@@ -162,22 +167,24 @@ def _sort_rows(w: np.ndarray) -> tuple:
 
 
 def _run_layout(sw: np.ndarray, order: np.ndarray) -> list[tuple]:
-    """(order, run_start, run_w, runs, run_of) of each row of a sorted weight table, for a
-    distribution that serves many steps: order as bytes, and its runs of equal weight as pairs
-    of Python ints with run_start and run_of as array.array rows, or one symbol per run above
-    MANY_RUNS, its sorted weights copied so that the row views none of the table."""
+    """(order, run_start, run_w, run_len, runs, run_of) of each row of a sorted weight table, for
+    a distribution that serves many steps: order as bytes, run_start and run_of as array.array
+    rows, and its runs of equal weight as pairs of Python ints, or above MANY_RUNS as int64
+    arrays of their weights and lengths that view none of the table."""
     edge = np.ones((len(sw), 257), dtype=bool)  # edge[:, 256] ends the last run
     edge[:, 2:256] = sw[:, 2:] != sw[:, 1:-1]  # rank 0 alone, then each stretch of equal weight
-    # the run of each rank; it wraps in a row of 256 runs, which never reads it
+    # the run of each rank; it wraps in a row of 256 runs, and is right mod 256 there, which is
+    # all a run index below 256 needs
     run_of = edge[:, :256].cumsum(axis=1, dtype=np.uint8) - 1
     out = []
     for row, o, e, of in zip(sw, order, edge, run_of):
-        start = e.nonzero()[0].tolist()  # each run's first rank, then 256
-        if len(start) > MANY_RUNS + 1:
-            out.append((o.tobytes(), ALL_RANKS, row.copy(), None, ALL_RANKS))
-            continue
-        runs = tuple(zip(row[start[:-1]].tolist(), map(sub, start[1:], start)))
-        out.append((o.tobytes(), array("H", start), None, runs, array("B", of.tobytes())))
+        start = e.nonzero()[0]  # each run's first rank, then 256
+        run_w, run_len = row[start[:-1]], np.diff(start)
+        runs = None
+        if len(start) <= MANY_RUNS + 1:
+            runs, run_w, run_len = tuple(zip(run_w.tolist(), run_len.tolist())), None, None
+        out.append((o.tobytes(), array("H", start.tolist()), run_w, run_len, runs,
+                    array("B", of.tobytes())))
     return out
 
 
@@ -239,9 +246,9 @@ class StreamModel:
 
     def _build(self, first: int) -> list[PixelDistribution | None]:
         """The distributions of STREAM_CHUNK steps from first, or to the end of the stream,
-        sorted in one pass; None for a step whose weights are no distribution. A row serves one step, so
-        it is stored one symbol per run, whatever its run count: run_w is its row of the sorted
-        chunk, and order its 256 bytes of the chunk's order."""
+        sorted in one pass; None for a step whose weights are no distribution. A row serves one
+        step, so it is stored one symbol per run, whatever its run count: run_w is its row of
+        the sorted chunk, and order its 256 bytes of the chunk's order."""
         if first >= self.steps:
             raise StreamExhausted(f"stream has {self.steps} steps, step {first} requested")
         w = _int64(self.table[first : first + STREAM_CHUNK])
@@ -249,7 +256,7 @@ class StreamModel:
         orders = order.tobytes()
         rows = zip(w, totals, tops, valid, sw, range(0, len(orders), 256))
         return [PixelDistribution(row, (total, top, orders[i : i + 256], ALL_RANKS, s, None,
-                                        ALL_RANKS)) if ok else None
+                                        None, ALL_RANKS)) if ok else None
                 for row, total, top, ok, s, i in rows]
 
 
@@ -257,6 +264,12 @@ def check_buckets(buckets: int) -> None:
     """Refuse a bucket count that a PSCM header, which stores it as u8, cannot hold."""
     if not 0 <= buckets <= 255:
         raise ValueError(f"buckets {buckets} outside 0..255")
+
+
+def check_smooth(smooth: int) -> None:
+    """Refuse a smoothing count that a PSCM header, which stores it as u32, cannot hold."""
+    if not 0 <= smooth < 1 << 32:
+        raise ValueError(f"smooth {smooth} outside 0..2^32-1")
 
 
 class ContextModel:
@@ -272,8 +285,7 @@ class ContextModel:
         check_buckets(buckets)
         if channels not in (1, 3):  # as ImageGrid; the PSCM header stores channels as u8
             raise ValueError(f"channels {channels} is not 1 or 3")
-        if not 0 <= smooth < 1 << 32:  # the PSCM header stores smooth as u32
-            raise ValueError(f"smooth {smooth} outside 0..2^32-1")
+        check_smooth(smooth)
         self.channels = channels
         self.buckets = buckets
         self.smooth = smooth

@@ -231,6 +231,7 @@ def bad_inputs(tmp_path):
     (tmp_path / "corpus").mkdir()
     pnm.write_image(pnm.ImageGrid(2, 2, 1, bytearray(4)), tmp_path / "corpus" / "a.pgm")
     (tmp_path / "adir").mkdir()  # an output path that names a directory
+    (tmp_path / "no-images").mkdir()
     return {"d": str(tmp_path), "missing": str(tmp_path / "missing")}
 
 
@@ -258,6 +259,10 @@ BAD_INPUT_PROBES = {
     "train-buckets-minus-1": "train --corpus {d}/corpus --out {d}/m.pscm --buckets -1",
     "train-smooth-minus-1": "train --corpus {d}/corpus --out {d}/m.pscm --smooth -1",
     "train-smooth-2^32": "train --corpus {d}/corpus --out {d}/m.pscm --smooth 4294967296",
+    # flags are refused before the corpus is read: not "no images", not the bad file's path
+    "train-buckets-300-no-images": "train --corpus {d}/no-images --out {d}/m.pscm --buckets 300",
+    "train-smooth-minus-1-no-images": "train --corpus {d}/no-images --out {d}/m.pscm --smooth -1",
+    "train-buckets-300-maxval-17": "train --corpus {d}/maxval17 --out {d}/m.pscm --buckets 300",
     "analyze-count-0": ANALYZE.replace("--count 1", "--count 0") + " --uniform",
     "embed-out-missing-dir": f"{EMBED} --uniform --raw --out {{missing}}/s.pgm",
     "extract-out-missing-dir": "extract --uniform --image {d}/gray.pgm --raw --out {missing}/o.bin",
@@ -293,6 +298,9 @@ PROBE_NAMES = {
     "embed-2^32-square": "a 4294967296x4294967296x1 image needs 18446744073709551616 bytes",
     "analyze-2^32-square": "a 4294967296x4294967296x1 image needs 18446744073709551616 bytes",
     "analyze-count-0": "count must be at least 1, got 0",  # as scripts/run_desk_eval.py says
+    "train-buckets-300-no-images": "buckets 300 outside 0..255",
+    "train-smooth-minus-1-no-images": "smooth -1 outside 0..2^32-1",
+    "train-buckets-300-maxval-17": "buckets 300 outside 0..255",
 }
 PROBE_LEAVES_NO = {
     "embed-report-missing-dir": ["{d}/s.pgm"],

@@ -2,11 +2,13 @@ import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stegosampler import models
 from stegosampler.bitio import BitStream, BitString, frame_encode
 from stegosampler.coder import (
     BrokenInvariant,
@@ -351,10 +353,10 @@ def registers(draw):
 @given(wide_weight_arrays(), registers())
 # 8-bit register, 1-bit weights: two runs
 @example([1] * 256, (8, 0, 255)).via("Python ints, two runs")
-# the most runs kept as runs of equal weight, which take Python ints, and one run more,
-# stored one symbol per run, which takes int64; then the most runs again, past the guard
+# the most runs kept as runs of equal weight, which take Python ints, and one run more, kept
+# as int64 run arrays, which take int64; then the most runs again, past the guard
 @example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, MANY_RUNS runs")
-@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, one symbol per run")
+@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, MANY_RUNS + 1 runs")
 @example(WIDE_MANY_RUNS, (62, 0, (1 << 62) - 1)).via("Python ints, MANY_RUNS runs past the guard")
 # widest int64 case: width times the top weight, which bounds every product, at most 2^63 - 1
 @example(EDGE, (33, 0, INT64_MAX // EDGE[0] - 1)).via("int64 path, edge")
@@ -404,10 +406,10 @@ def clone(state):
 @given(run_weights(), scaled_registers())
 # one run of 255 equal symbols behind rank 0
 @example([5] * 256, (26, 0, (1 << 26) - 1)).via("Python ints, two runs")
-# the most runs kept as runs of equal weight, which take Python ints, and one run more,
-# stored one symbol per run, which takes int64; then the most runs again, past the guard
+# the most runs kept as runs of equal weight, which take Python ints, and one run more, kept
+# as int64 run arrays, which take int64; then the most runs again, past the guard
 @example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1)).via("Python ints, MANY_RUNS runs")
-@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, one symbol per run")
+@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1)).via("int64 path, MANY_RUNS + 1 runs")
 @example(WIDE_MANY_RUNS, (62, 0, (1 << 62) - 1)).via("Python ints, MANY_RUNS runs past the guard")
 # a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1)).via("Python ints, zero tail")
@@ -430,10 +432,10 @@ def test_derived_cut_matches_the_oracle(weights, register):
 @given(run_weights(), scaled_registers(), st.integers(0, 2**64 - 1))
 # one run of 255 equal symbols behind rank 0
 @example([5] * 256, (26, 0, (1 << 26) - 1), 12345).via("Python ints, two runs")
-# the most runs kept as runs of equal weight, which take Python ints, and one run more,
-# stored one symbol per run, which takes int64; then the most runs again, past the guard
+# the most runs kept as runs of equal weight, which take Python ints, and one run more, kept
+# as int64 run arrays, which take int64; then the most runs again, past the guard
 @example(with_runs(MANY_RUNS), (26, 0, (1 << 26) - 1), 1 << 25).via("Python ints, MANY_RUNS runs")
-@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, one symbol per run")
+@example(with_runs(MANY_RUNS + 1), (26, 0, (1 << 26) - 1), 1 << 25).via("int64 path, MANY_RUNS + 1 runs")
 @example(WIDE_MANY_RUNS, (62, 0, (1 << 62) - 1), 1 << 61).via("Python ints, MANY_RUNS runs past the guard")
 # a tail of zero weights: 62-bit interval, 32-bit weights
 @example([(1 << 32) - 1] * 200 + [0] * 56, (62, 3, (1 << 62) - 1), 1 << 61).via("Python ints, zero tail")
@@ -467,6 +469,79 @@ def test_run_steps_match_the_full_cut(weights, register, u):
         s, prefix = _apply(expect, cut[k], cut[k + 1] - cut[k])
         assert extract_step(got, dist, pixel) == (prefix, s)
         assert (got.low, got.high) == (expect.low, expect.high)
+
+
+# run counts around the cut and past it: the most runs kept as pairs, one more, 64, 65, 256
+RUN_COUNTS = [MANY_RUNS, MANY_RUNS + 1, 64, 65, 256]
+
+
+def both_layouts(weights):
+    """`weights` kept as (weight, length) pairs of Python ints and as int64 run arrays."""
+    with mock.patch.object(models, "MANY_RUNS", 256):
+        pairs = PixelDistribution(weights)
+    with mock.patch.object(models, "MANY_RUNS", 0):
+        arrays = PixelDistribution(weights)
+    assert type(pairs.runs) is tuple and pairs.run_w is None
+    assert arrays.runs is None and arrays.run_len is not None
+    return pairs, arrays
+
+
+def assert_tilings_agree(weights, state):
+    """The int64 run arrays tile `state`'s interval to the ends the Python pairs give, with
+    ends that index to Python ints, and both derive the oracle's per-symbol cut. Returns
+    whether the arrays took the int64 pass."""
+    pairs, arrays = both_layouts(weights)
+    want, got = quantize(pairs, state), quantize(arrays, state)
+    assert type(want.ends) is list
+    assert all(type(e) is int for e in got.ends)
+    assert list(got.ends) == want.ends
+    assert got.cut == want.cut == quantize_oracle(weights, state.low, state.high)[1]
+    return type(got.ends) is not list
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RUN_COUNTS), st.integers(0, 24), st.integers(0, 2**32 - 1),
+       scaled_registers())
+def test_int64_runs_tile_as_the_pairs_do(runs, scale_bits, seed, register):
+    """Rows around and past MANY_RUNS, of weights up to 2^32, tile to the same ends as int64
+    run arrays, whether the int64 pass or the Python-int walk past the guard reads them, as
+    kept as pairs, at prc 8..62."""
+    scale = int(np.random.default_rng(seed).integers(1 << scale_bits, 2 << scale_bits))
+    weights = np.random.default_rng(seed).permutation([w * scale for w in with_runs(runs)])
+    prc, low, high = register
+    assert_tilings_agree(weights.tolist(), CoderState(prc, low=low, high=high))
+
+
+@pytest.mark.parametrize("runs", RUN_COUNTS)
+@pytest.mark.parametrize("prc", [8, 26, 40, 62])
+def test_int64_runs_tile_as_the_pairs_do_at_the_guard(runs, prc):
+    """The full register and, where the register holds them, the widths on each side of the
+    int64 guard: width times the top weight at most INT64_MAX takes the int64 pass, one unit
+    more the Python-int walk."""
+    weights = [w * ((1 << 24) - 1) for w in with_runs(runs)]  # totals below 2^40 at 256 runs
+    guard = INT64_MAX // weights[0]
+    for width in (1 << prc, guard, guard + 1):
+        if width <= 1 << prc:
+            state = CoderState(prc, high=width - 1)
+            assert assert_tilings_agree(weights, state) is (width <= guard), width
+
+
+@pytest.mark.parametrize("prc", [40, 62])
+def test_a_context_of_256_runs_round_trips(prc):
+    """A context row of 256 distinct weights is kept as int64 runs: its run_of wrapped in uint8
+    when it was cut, and is right mod 256, which is all of 0..255. Embed and extract round-trip
+    exactly, through a pixel of rank 255, by the int64 pass at prc 40 and the Python-int walk
+    at 62. (At prc 26 this near-uniform row can leave a few units straddling the midpoint,
+    which the coder, without underflow handling, never renormalizes.)"""
+    model = ContextModel(1, buckets=0)
+    model.counts[0, 0, 0] = np.random.default_rng(1).permutation(256) + 1000
+    dist = model.distribution(ImageGrid.blank(1, 1, 1), 0)
+    assert dist.runs is None and len(dist.run_w) == 256
+    assert list(dist.run_of) == list(range(256))
+    payload = bytes(range(256)) * 2
+    grid, _ = embed_image(model, 32, 32, 1, payload, prc=prc, pad_seed=3)
+    assert dist.order[255] in grid.data
+    assert extract_image(model, grid, prc=prc) == payload
 
 
 @st.composite

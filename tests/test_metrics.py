@@ -173,35 +173,63 @@ def test_step_stats_mixes_the_int64_and_python_int_rows():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(8, 62))
-def test_step_stats_of_one_symbol_rows_match_their_runs(seed, prc):
-    """A row with more than MANY_RUNS runs, stored one symbol per run, gets the stats it gets
-    stored as its runs of equal weight. A row with fewer keeps the very bits of its H(p). Its
-    other stats sum the chunk's nonzero widths padded to the widest row, which one symbol per
-    run can widen, and numpy's pairwise sums group padded rows of other lengths differently."""
-    rng = np.random.default_rng(seed)
+def rows_of_many_run_counts(rng) -> list[np.ndarray]:
+    """24 weight rows from up to 63 values (at most 64 runs) or from 120 to 256 (almost surely
+    more), mixed."""
     table = []
-    # weights from up to 63 values (at most 64 runs) or from 120 to 256 (almost surely more)
     for n in rng.permutation([*rng.integers(1, 64, 12), *rng.integers(120, 257, 12)]):
         w = rng.choice(rng.integers(0, 1 << 24, n), 256)
         w[rng.integers(256)] += 1  # total > 0
         table.append(w)
-    widths = np.array([int(rng.integers(2, 1 << int(rng.integers(2, prc + 1)), endpoint=True))
-                       for _ in table])
-    got = step_stats([PixelDistribution(w) for w in table], widths)
-    with mock.patch.object(models, "MANY_RUNS", 256):  # every row stored as its runs
-        as_runs = [PixelDistribution(w) for w in table]
-        want = step_stats(as_runs, widths)
-    one_symbol = np.array([len(d.runs) > MANY_RUNS for d in as_runs])
-    assert all((PixelDistribution(w).runs is None) == m for w, m in zip(table, one_symbol))
-    np.testing.assert_array_equal(got[~one_symbol, 0], want[~one_symbol, 0])
+    return table
+
+
+def widths_for(rng, rows, prc) -> np.ndarray:
+    return np.array([int(rng.integers(2, 1 << int(rng.integers(2, prc + 1)), endpoint=True))
+                     for _ in rows])
+
+
+def as_pairs(table) -> list[PixelDistribution]:
+    with mock.patch.object(models, "MANY_RUNS", 256):  # every row kept as pairs
+        return [PixelDistribution(w) for w in table]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 62))
+def test_step_stats_of_one_symbol_rows_match_their_runs(seed, prc):
+    """A stream's row, stored one symbol per run, gets the stats it gets kept as its runs of
+    equal weight. Its stats sum the chunk's nonzero widths one symbol to a cell, and numpy's
+    pairwise sums group padded rows of other lengths differently, so they agree to rounding."""
+    rng = np.random.default_rng(seed)
+    table = rows_of_many_run_counts(rng)
+    widths = widths_for(rng, table, prc)
+    stream = StreamModel(np.array(table))
+    got = step_stats([stream.distribution(None, step) for step in range(len(table))], widths)
+    want = step_stats(as_pairs(table), widths)
     # H(p) and H(q) sum terms of one sign: another summation order of up to 256 of them moves
     # the sum by at most about 2 * 256 * 2^-53 of itself, under 1e-13. KLD and JSD sum terms of
     # both signs that nearly cancel when q is close to p, so their error is absolute instead:
     # the same factor times the sum of the terms' magnitudes, a few bits, under 1e-12.
     np.testing.assert_allclose(got[:, :2], want[:, :2], rtol=1e-12, atol=0)
     np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 62))
+def test_step_stats_of_int64_run_rows_are_those_of_their_pairs(seed, prc):
+    """A row of more than MANY_RUNS runs, kept as int64 run arrays, gets bit for bit the stats
+    it gets kept as (weight, length) pairs: both sum one cell per run, alone or in a chunk."""
+    rng = np.random.default_rng(seed)
+    table = rows_of_many_run_counts(rng)
+    widths = widths_for(rng, table, prc)
+    dists = [PixelDistribution(w) for w in table]
+    pairs = as_pairs(table)
+    arrays = np.array([d.runs is None for d in dists])
+    assert (arrays == [len(d.runs) > MANY_RUNS for d in pairs]).all()
+    np.testing.assert_array_equal(step_stats(dists, widths), step_stats(pairs, widths))
+    for k in np.flatnonzero(arrays)[:4]:
+        np.testing.assert_array_equal(step_stats([dists[k]], widths[k : k + 1]),
+                                      step_stats([pairs[k]], widths[k : k + 1]))
 
 
 @settings(max_examples=40, deadline=None)

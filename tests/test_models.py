@@ -106,7 +106,7 @@ class TestTraining:
         model = train_context_model([gray([[1, 200], [30, 4]]), gray([[255, 0], [9, 9]])], smooth=3)
         model.counts[0, 2, 5] = 0
         model.counts[0, 2, 5, 9] = (1 << 40) - 1 - 256 * 3  # the largest total a context can hold
-        model.counts[0, 3, 4] = np.arange(256) * 7 % 256  # 256 runs: stored one symbol per run
+        model.counts[0, 3, 4] = np.arange(256) * 7 % 256  # 256 runs: kept as int64 runs
         B = model.buckets
         layouts = set()
         for left in range(B + 1):
@@ -115,7 +115,7 @@ class TestTraining:
                 assert model.context_of(*query) == left * (B + 1) + up
                 got = model.distribution(*query)
                 want = PixelDistribution(model.counts[0, left, up].astype(np.int64) + 3)
-                for field in ("weights", "total", "run_start", "run_w", "run_of"):
+                for field in ("weights", "total", "run_start", "run_w", "run_len", "run_of"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (left, up)
                 assert (got.top, got.order, got.runs) == (want.top, want.order, want.runs)
                 # order is bytes in either layout, and a value's rank is its index there
@@ -324,7 +324,8 @@ class TestStream:
     def test_chunks_build_what_single_rows_build(self):
         """A stream's distribution serves one step, so each chunk row is stored one symbol per
         run, whatever its run count, and tiles to what the row alone, stored as its runs,
-        tiles to. The row alone keeps the layout of its run count."""
+        tiles to. The row alone keeps the layout of its run count: pairs up to MANY_RUNS runs,
+        int64 run arrays above."""
         # 600 steps: whole chunks and a partial one; weights from a few values, so runs are long
         rng = np.random.default_rng(4)
         table = rng.choice([0, 1, 3, 1 << 31], (600, 256))
@@ -357,17 +358,18 @@ class TestStream:
             assert [got.order.index(v) for v in range(256)] == np.argsort(order).tolist(), step
             assert got.run_start is ALL_RANKS, step
             assert np.array_equal(got.run_w, table[step][order]), step
-            assert got.run_of is ALL_RANKS, step
+            assert got.run_len is None and got.run_of is ALL_RANKS, step
             # the standalone distribution serves many steps, so it keeps its runs
             runs = runs_of(table[step][order])
             assert type(want.order) is bytes, step
             assert [want.order.index(v) for v in range(256)] == np.argsort(order).tolist(), step
-            if len(runs) > MANY_RUNS:  # one symbol per run
-                assert want.run_start is ALL_RANKS and want.runs is None, step
-                assert np.array_equal(want.run_w, table[step][order]), step
+            assert list(want.run_start) == [first for first, _, _ in runs] + [256], step
+            if len(runs) > MANY_RUNS:  # int64 run arrays
+                assert want.runs is None, step
+                assert want.run_w.tolist() == [w for _, w, _ in runs], step
+                assert want.run_len.tolist() == [n for _, _, n in runs], step
             else:
-                assert want.run_w is None, step
-                assert list(want.run_start) == [first for first, _, _ in runs] + [256], step
+                assert want.run_w is None and want.run_len is None, step
                 assert want.runs == tuple((w, n) for _, w, n in runs), step
                 assert all(type(x) is int for pair in want.runs for x in pair), step
             for state in states:
@@ -494,7 +496,7 @@ def test_training_order_independent(perm):
 @st.composite
 def many_step_distributions(draw):
     """(weights, distribution) of a distribution that serves many steps: random weights with
-    ties, a row of MANY_RUNS runs or one more, or a trained context."""
+    ties, a row of MANY_RUNS runs or one more or of 256, or a trained context."""
     kind = draw(st.sampled_from(["ties", "edge", "context"]))
     if kind == "context":
         model, _ = draw(trained_model_and_image())
@@ -507,16 +509,15 @@ def many_step_distributions(draw):
         weights = draw(st.lists(st.sampled_from([0, *values]), min_size=256, max_size=256))
         weights[draw(st.integers(0, 255))] = values[0]  # total > 0
     else:
-        runs = draw(st.sampled_from([MANY_RUNS, MANY_RUNS + 1]))
+        runs = draw(st.sampled_from([MANY_RUNS, MANY_RUNS + 1, 256]))
         scale = draw(st.integers(1, 1 << 24))
         weights = draw(st.permutations([max(runs - v, 1) * scale for v in range(256)]))
     return np.array(weights, dtype=np.int64), PixelDistribution(weights)
 
 
 def codes_by_rank_past_int64(dist, pixel) -> None:
-    """At prc 62 the products of a row stored one symbol per run pass int64, so `quantize`
-    tiles it in Python ints; its steps still take the rank as the run, and the pixel codes to
-    its cell of the per-symbol cut."""
+    """At prc 62 the products of a row kept as int64 arrays pass int64, so `quantize` walks
+    those arrays in Python ints; the pixel still codes to its cell of the per-symbol cut."""
     assert dist.runs is None and CoderState(62).width * dist.top > INT64_MAX
     part = quantize(dist, CoderState(62))
     assert type(part.ends) is list
@@ -539,24 +540,26 @@ def codes_by_rank_past_int64(dist, pixel) -> None:
 @given(many_step_distributions(), st.integers(0, 255))
 def test_many_step_lookups_are_python_ints_that_match_the_sort(bundle, pixel):
     """A distribution that serves many steps keeps its step lookups as Python ints, and they
-    are what the numpy sort gives. A row stored one symbol per run, here or in a stream, still
-    codes by rank where its products pass int64."""
+    are what the numpy sort gives. A row kept as int64 run arrays, here or one symbol per run
+    in a stream, still codes to its cell where its products pass int64."""
     weights, dist = bundle
     order = np.argsort(-weights, kind="stable")
     assert list(dist.order) == order.tolist()
     # order is bytes in either layout, and a value's rank is its index there
     assert type(dist.order) is bytes
     assert [dist.order.index(v) for v in range(256)] == np.argsort(order).tolist()
-    lookups = [dist.order]
-    if dist.runs is None:  # one symbol per run
-        assert dist.run_start is dist.run_of is ALL_RANKS
-        assert dist.run_w.base is None  # views none of the sorted table
-        assert len(runs_of(weights[order])) > MANY_RUNS
+    runs = runs_of(weights[order])
+    lookups = [dist.order, dist.run_start, dist.run_of]
+    assert list(dist.run_start) == [first for first, _, _ in runs] + [256]
+    assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
+    if dist.runs is None:  # int64 run arrays
+        assert len(runs) > MANY_RUNS
+        assert dist.run_w.dtype == dist.run_len.dtype == np.int64
+        assert dist.run_w.base is dist.run_len.base is None  # view none of the sorted table
+        assert list(zip(dist.run_w.tolist(), dist.run_len.tolist())) == [r[1:] for r in runs]
     else:
-        lookups += [dist.run_start, dist.run_of, *dist.runs]
-        assert dist.run_w is None
-        assert list(dist.run_start) == [first for first, _, _ in runs_of(weights[order])] + [256]
-        assert list(dist.run_of) == [bisect_right(dist.run_start, k) - 1 for k in range(256)]
+        lookups += dist.runs
+        assert dist.run_w is dist.run_len is None
     assert all(type(x) is int for table in lookups for x in table)
     if dist.top > 1:  # a top weight of 1 keeps every product at prc 62 within int64
         if dist.runs is None:
@@ -577,9 +580,10 @@ def test_all_ranks_is_a_read_only_identity_that_numpy_reads_in_place():
 
 
 def test_sorted_contexts_stay_compact():
-    """A context's step lookups are compact arrays, and its runs are pairs of Python ints that
-    view none of the (contexts, 256) tables they were cut from: sorting the 75 contexts of an
-    RGB noise model holds under 4.5 KiB per distinct distribution."""
+    """A context's step lookups are compact arrays, and its runs are pairs of Python ints or,
+    above MANY_RUNS, int64 arrays, that view none of the (contexts, 256) tables they were cut
+    from: sorting the 75 contexts of an RGB noise model holds under 4.5 KiB per distinct
+    distribution."""
     model = train_context_model(noise_corpus(100, 32, 32, 3, seed=3), buckets=4)
     tracemalloc.start()
     try:
@@ -589,7 +593,9 @@ def test_sorted_contexts_stay_compact():
         tracemalloc.stop()
     distinct = {id(d): d for d in model._dists}.values()
     assert len(distinct) == 75
-    assert all(d.run_w is None and type(d.runs) is tuple for d in distinct)
+    for d in distinct:
+        assert (d.runs is None) == (len(d.run_start) - 1 > MANY_RUNS)
+        assert type(d.runs) is tuple or d.run_w.base is d.run_len.base is None
     assert held < 4.5 * 1024 * len(distinct), f"{held} B held for {len(distinct)} distributions"
 
 
